@@ -93,6 +93,17 @@ class Rdd : public std::enable_shared_from_this<Rdd> {
   const FusionOps* fusion_ops() const { return fusion_ops_.get(); }
   void set_fusion_ops(std::shared_ptr<const FusionOps> ops) { fusion_ops_ = std::move(ops); }
 
+  // Key partitioning of a pair RDD. N > 0 promises that the RDD has N
+  // partitions, that every row sits in the partition a map-side bucket sink
+  // would route its key to (HashOf(key) masked or mod N, see BucketMaskFor in
+  // typed_rdd.h), and that each partition is key-sorted. 0 means unknown.
+  // Set by ReduceByKey, GroupByKey, Join and CoGroup, kept by MapValues,
+  // dropped (0) by everything else. Join/CoGroup skip the shuffle when both
+  // inputs already match their partition count. Set once on the driver
+  // right after construction, like the fusion surface.
+  int key_partitions() const { return key_partitions_; }
+  void set_key_partitions(int n) { key_partitions_ = n; }
+
   // Number of live RDDs depending on this one (narrow or shuffle). A child
   // increments its parents' counts at construction and decrements them at
   // destruction. Fusion refuses to stream *through* an RDD with more than one
@@ -121,6 +132,7 @@ class Rdd : public std::enable_shared_from_this<Rdd> {
   int num_partitions_;
   std::vector<Dependency> deps_;
   std::shared_ptr<const FusionOps> fusion_ops_;
+  int key_partitions_ = 0;
   std::atomic<bool> cache_{false};
   std::atomic<CheckpointState> state_{CheckpointState::kNone};
   std::atomic<int> consumers_{0};

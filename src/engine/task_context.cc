@@ -206,9 +206,11 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
 
 namespace {
 
+// A bucket fetch takes microseconds to milliseconds, below the default
+// latency buckets' 1 ms floor; 10 us doubling through ~84 s resolves it.
 Histogram* FetchSecondsHistogram() {
   static Histogram* h = MetricsRegistry::Global().GetHistogram(
-      "flint_net_fetch_seconds", Histogram::DefaultLatencyBounds());
+      "flint_net_fetch_seconds", Histogram::DoublingBounds(1e-5, 100.0));
   return h;
 }
 

@@ -543,6 +543,55 @@ inline std::shared_ptr<ShuffleInfo> MakeShuffle(
   return info;
 }
 
+// Builds the two-input keyed RDD behind Join and CoGroup. `reduce(lbuckets,
+// rbuckets, tc)` is the one reduce body both plans share; it gets, per side,
+// the key-sorted buckets holding output partition j's keys.
+//
+// When both inputs are already key-partitioned into `num_reduce` partitions
+// (Rdd::key_partitions), the shuffle is skipped: partition j reads partition
+// j of each parent over a narrow dependency and passes it as that side's
+// only bucket. A shuffle would deliver the same rows: reduce j receives
+// nothing from map partitions other than j, and map partition j's bucket j
+// is the partition itself, already key-sorted. So both plans are
+// bit-identical. Any other input pair hash-shuffles both sides through
+// plain bucket sinks.
+template <typename K, typename V, typename W, typename Reduce>
+RddPtr MakeBinaryByKey(FlintContext* ctx, const RddPtr& left, const RddPtr& right,
+                       int num_reduce, std::string name, Reduce reduce) {
+  RddPtr out;
+  if (num_reduce > 0 && left->key_partitions() == num_reduce &&
+      right->key_partitions() == num_reduce) {
+    out = ctx->CreateRdd(
+        std::move(name), num_reduce,
+        {Dependency{DepType::kNarrowOneToOne, left, nullptr},
+         Dependency{DepType::kNarrowOneToOne, right, nullptr}},
+        [left, right, reduce](int j, TaskContext& tc) -> Result<PartitionPtr> {
+          FLINT_ASSIGN_OR_RETURN(PartitionPtr l, tc.GetPartition(left, j));
+          FLINT_ASSIGN_OR_RETURN(PartitionPtr r, tc.GetPartition(right, j));
+          return reduce(std::vector<PartitionPtr>{std::move(l)},
+                        std::vector<PartitionPtr>{std::move(r)}, tc);
+        });
+  } else {
+    auto left_info = MakeShuffle(ctx, left, num_reduce, MakePlainBucketFactory<K, V>(),
+                                 MakeRowDrive<std::pair<K, V>>());
+    auto right_info = MakeShuffle(ctx, right, num_reduce, MakePlainBucketFactory<K, W>(),
+                                  MakeRowDrive<std::pair<K, W>>());
+    out = ctx->CreateRdd(
+        std::move(name), num_reduce,
+        {Dependency{DepType::kShuffle, left, left_info},
+         Dependency{DepType::kShuffle, right, right_info}},
+        [left_info, right_info, reduce](int j, TaskContext& tc) -> Result<PartitionPtr> {
+          FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> lbuckets,
+                                 tc.FetchShuffle(left_info->shuffle_id, j));
+          FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> rbuckets,
+                                 tc.FetchShuffle(right_info->shuffle_id, j));
+          return reduce(lbuckets, rbuckets, tc);
+        });
+  }
+  out->set_key_partitions(num_reduce);
+  return out;
+}
+
 }  // namespace rdd_internal
 
 // Aggregates values per key with `combine` (associative; commutativity not
@@ -590,6 +639,7 @@ PairRdd<K, V> ReduceByKey(const PairRdd<K, V>& parent, int num_reduce, Combine c
                   [](const auto& a, const auto& b) { return a.first < b.first; });
         return MakePartition(std::move(rows));
       });
+  out->set_key_partitions(num_reduce);
   return PairRdd<K, V>(ctx, std::move(out));
 }
 
@@ -624,33 +674,23 @@ PairRdd<K, std::vector<V>> GroupByKey(const PairRdd<K, V>& parent, int num_reduc
                   [](const auto& a, const auto& b) { return a.first < b.first; });
         return MakePartition(std::move(rows));
       });
+  out->set_key_partitions(num_reduce);
   return PairRdd<K, std::vector<V>>(ctx, std::move(out));
 }
 
-// Inner join. Both sides are shuffled by key into `num_reduce` partitions;
-// the reduce side merge-joins the key-sorted buckets (or, with merge-reduce
-// off, builds a flat hash table from the left input). Output is key-sorted;
-// per key, rows follow (right row order, left row order) — identical on
-// both reduce paths.
+// Inner join by key into `num_reduce` partitions (shuffle-free when both
+// sides are already co-partitioned, see MakeBinaryByKey). The reduce side
+// merge-joins the key-sorted buckets (or, with merge-reduce off, builds a
+// flat hash table from the left input). Output is key-sorted; per key, rows
+// follow (right row order, left row order) — identical on both reduce paths.
 template <typename K, typename V, typename W>
 PairRdd<K, std::pair<V, W>> Join(const PairRdd<K, V>& left, const PairRdd<K, W>& right,
                                  int num_reduce, std::string name = "join") {
   FlintContext* ctx = left.ctx();
-  auto left_info = rdd_internal::MakeShuffle(ctx, left.raw(), num_reduce,
-                                             rdd_internal::MakePlainBucketFactory<K, V>(),
-                                             rdd_internal::MakeRowDrive<std::pair<K, V>>());
-  auto right_info = rdd_internal::MakeShuffle(ctx, right.raw(), num_reduce,
-                                              rdd_internal::MakePlainBucketFactory<K, W>(),
-                                              rdd_internal::MakeRowDrive<std::pair<K, W>>());
-  RddPtr out = ctx->CreateRdd(
-      std::move(name), num_reduce,
-      {Dependency{DepType::kShuffle, left.raw(), left_info},
-       Dependency{DepType::kShuffle, right.raw(), right_info}},
-      [left_info, right_info](int j, TaskContext& tc) -> Result<PartitionPtr> {
-        FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> lbuckets,
-                               tc.FetchShuffle(left_info->shuffle_id, j));
-        FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> rbuckets,
-                               tc.FetchShuffle(right_info->shuffle_id, j));
+  RddPtr out = rdd_internal::MakeBinaryByKey<K, V, W>(
+      ctx, left.raw(), right.raw(), num_reduce, std::move(name),
+      [](const std::vector<PartitionPtr>& lbuckets, const std::vector<PartitionPtr>& rbuckets,
+         TaskContext& tc) -> PartitionPtr {
         EngineCounters& counters = tc.context().counters();
         std::vector<std::pair<K, std::pair<V, W>>> rows;
         if (tc.context().config().shuffle_merge_reduce) {
@@ -727,11 +767,14 @@ PairRdd<K, std::pair<V, W>> Join(const PairRdd<K, V>& left, const PairRdd<K, W>&
 }
 
 // Convenience: map only the values of a pair RDD.
+// Keys stay where they are, so the parent's key partitioning carries over.
 template <typename K, typename V, typename F>
 auto MapValues(const PairRdd<K, V>& parent, F fn, std::string name = "mapValues") {
-  return parent.Map(
+  auto out = parent.Map(
       [fn](const std::pair<K, V>& kv) { return std::make_pair(kv.first, fn(kv.second)); },
       std::move(name));
+  out.raw()->set_key_partitions(parent.raw()->key_partitions());
+  return out;
 }
 
 }  // namespace flint

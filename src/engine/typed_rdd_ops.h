@@ -205,29 +205,19 @@ TypedRdd<T> SortBy(const TypedRdd<T>& parent, KeyFn key_fn, int num_output = 0,
 }
 
 // CoGroup: for each key, the values from both sides. The building block for
-// outer joins.
+// outer joins. Shuffle-free when both sides are already co-partitioned (see
+// MakeBinaryByKey in typed_rdd.h).
 template <typename K, typename V, typename W>
 PairRdd<K, std::pair<std::vector<V>, std::vector<W>>> CoGroup(const PairRdd<K, V>& left,
                                                               const PairRdd<K, W>& right,
                                                               int num_reduce,
                                                               std::string name = "cogroup") {
   FlintContext* ctx = left.ctx();
-  auto left_info = rdd_internal::MakeShuffle(ctx, left.raw(), num_reduce,
-                                             rdd_internal::MakePlainBucketFactory<K, V>(),
-                                             rdd_internal::MakeRowDrive<std::pair<K, V>>());
-  auto right_info = rdd_internal::MakeShuffle(ctx, right.raw(), num_reduce,
-                                              rdd_internal::MakePlainBucketFactory<K, W>(),
-                                              rdd_internal::MakeRowDrive<std::pair<K, W>>());
   using Out = std::pair<K, std::pair<std::vector<V>, std::vector<W>>>;
-  RddPtr out = ctx->CreateRdd(
-      std::move(name), num_reduce,
-      {Dependency{DepType::kShuffle, left.raw(), left_info},
-       Dependency{DepType::kShuffle, right.raw(), right_info}},
-      [left_info, right_info](int j, TaskContext& tc) -> Result<PartitionPtr> {
-        FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> lbuckets,
-                               tc.FetchShuffle(left_info->shuffle_id, j));
-        FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> rbuckets,
-                               tc.FetchShuffle(right_info->shuffle_id, j));
+  RddPtr out = rdd_internal::MakeBinaryByKey<K, V, W>(
+      ctx, left.raw(), right.raw(), num_reduce, std::move(name),
+      [](const std::vector<PartitionPtr>& lbuckets, const std::vector<PartitionPtr>& rbuckets,
+         TaskContext&) -> PartitionPtr {
         // Merge each side's key-sorted buckets into grouped runs, then
         // stitch the two sorted group lists together with one sweep.
         std::vector<std::pair<K, std::vector<V>>> lg =

@@ -86,14 +86,18 @@ void Histogram::Reset() {
   }
 }
 
-std::vector<double> Histogram::DefaultLatencyBounds() {
-  // 1ms doubling up through ~65s: covers model-time checkpoint writes and
-  // wall-time DFS retries alike.
+std::vector<double> Histogram::DoublingBounds(double first, double limit) {
   std::vector<double> bounds;
-  for (double b = 0.001; b < 100.0; b *= 2.0) {
+  for (double b = first; b < limit; b *= 2.0) {
     bounds.push_back(b);
   }
   return bounds;
+}
+
+std::vector<double> Histogram::DefaultLatencyBounds() {
+  // 1ms doubling up through ~65s: covers model-time checkpoint writes and
+  // wall-time DFS retries alike.
+  return DoublingBounds(0.001, 100.0);
 }
 
 bool MetricsSnapshot::Has(const std::string& name) const {

@@ -112,6 +112,8 @@ class Histogram {
   double Sum() const;
   void Reset();
 
+  // Bounds first, 2*first, 4*first, ... while below `limit` (first > 0).
+  static std::vector<double> DoublingBounds(double first, double limit);
   // Exponential default buckets for second-valued latencies: 1ms .. ~65s.
   static std::vector<double> DefaultLatencyBounds();
 

@@ -8,11 +8,15 @@
 //   - merge-reduce vs hash-rebuild bit-identity;
 //   - determinism across num_reduce choices;
 //   - fused bucket chains recomputing bit-identically through a whole-cluster
-//     revocation storm.
+//     revocation storm;
+//   - co-partitioned Join / CoGroup / LeftOuterJoin: the shuffle-free plan
+//     (Rdd::key_partitions) against the shuffled oracle, and the table of
+//     which operators set, keep and drop key_partitions.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -336,6 +340,184 @@ TEST(ShufflePathTest, FusedBucketChainSurvivesRevokeAllStorm) {
   EXPECT_EQ(out, reference);
   EXPECT_TRUE(injector.AllEventsFired());
   EXPECT_GT(h.ctx().counters().shuffle_fused_bucket_chains.load(), 0u);
+}
+
+// --- co-partitioned Join / CoGroup ---
+
+// Grid over the two engine paths a reduce body can see its input through:
+// narrow-chain operator fusion and the merge vs hash-rebuild reduce.
+EngineHarnessOptions GridOpts(bool operator_fusion, bool merge_reduce) {
+  EngineHarnessOptions o;
+  o.operator_fusion = operator_fusion;
+  o.shuffle_merge_reduce = merge_reduce;
+  return o;
+}
+
+// Drops the key partitioning without touching a row: the shuffled oracle.
+template <typename K, typename V>
+PairRdd<K, V> Identity(const PairRdd<K, V>& rdd) {
+  return rdd.Map([](const std::pair<K, V>& kv) { return kv; }, "identity");
+}
+
+// Two inputs key-partitioned into `n` partitions. `unique` holds one row per
+// key (ReduceByKey); `dups` repeats keys (a Join output, one row per matched
+// pair) and covers only part of the key space, so CoGroup sees one-sided
+// keys. With few keys and many partitions, some partitions are empty.
+struct KeyedInputs {
+  PairRdd<int, int> unique;
+  PairRdd<int, int> dups;
+};
+
+KeyedInputs CopartitionedInputs(FlintContext* ctx, int n, int keys) {
+  auto unique = ReduceByKey(Parallelize(ctx, SkewedPairs(1500, keys), 4), n,
+                            [](int a, int b) { return a * 31 + b; });
+  auto matched = Join(Parallelize(ctx, SkewedPairs(700, keys), 3),
+                      Parallelize(ctx, SkewedPairs(keys, std::max(1, keys / 2)), 2), n);
+  auto dups = MapValues(matched, [](const std::pair<int, int>& vw) {
+    return vw.first * 1000 + vw.second;
+  });
+  return {unique, dups};
+}
+
+template <typename T>
+std::vector<T> CollectOrEmpty(const TypedRdd<T>& rdd) {
+  auto out = rdd.Collect();
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? *out : std::vector<T>{};
+}
+
+struct BinaryResults {
+  std::vector<std::pair<int, std::pair<int, int>>> join;
+  std::vector<std::pair<int, std::pair<std::vector<int>, std::vector<int>>>> cogroup;
+  std::vector<std::pair<int, std::pair<int, std::optional<int>>>> left_outer;
+  size_t shuffles = 0;  // shuffles the three operators registered
+
+  bool SameRows(const BinaryResults& o) const {
+    return join == o.join && cogroup == o.cogroup && left_outer == o.left_outer;
+  }
+};
+
+// Join, CoGroup and LeftOuterJoin over the same inputs into `n` partitions;
+// `shuffled` routes both inputs through Identity first.
+BinaryResults RunBinaryOps(FlintContext* ctx, int n, int keys, bool shuffled) {
+  KeyedInputs in = CopartitionedInputs(ctx, n, keys);
+  if (shuffled) {
+    in.unique = Identity(in.unique);
+    in.dups = Identity(in.dups);
+  }
+  BinaryResults r;
+  const size_t before = ctx->shuffles().NumShuffles();
+  auto join = Join(in.dups, in.unique, n);
+  auto cogroup = CoGroup(in.unique, in.dups, n);
+  auto left_outer = LeftOuterJoin(in.dups, in.unique, n);
+  r.shuffles = ctx->shuffles().NumShuffles() - before;
+  for (const RddPtr& rdd : {join.raw(), cogroup.raw()}) {
+    for (const Dependency& dep : rdd->deps()) {
+      EXPECT_EQ(dep.type, shuffled ? DepType::kShuffle : DepType::kNarrowOneToOne)
+          << rdd->name();
+    }
+  }
+  r.join = CollectOrEmpty(join);
+  r.cogroup = CollectOrEmpty(cogroup);
+  r.left_outer = CollectOrEmpty(left_outer);
+  return r;
+}
+
+// A co-partitioned Join/CoGroup/LeftOuterJoin registers no shuffle and
+// equals the shuffled oracle row for row, on every engine path. N = 3 and 5
+// exercise the `h % n` bucket rule, 4 and 8 the mask; 8 partitions over 3
+// keys leave most partitions empty.
+TEST(ShufflePathTest, CopartitionedBinaryOpsMatchShuffledOracle) {
+  const std::vector<std::pair<int, int>> cases = {{4, 19}, {3, 19}, {5, 23}, {8, 3}};
+  for (const auto& [n, keys] : cases) {
+    for (bool fusion : {true, false}) {
+      for (bool merge : {true, false}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " keys=" + std::to_string(keys) +
+                     " fusion=" + std::to_string(fusion) + " merge=" + std::to_string(merge));
+        EngineHarness h{GridOpts(fusion, merge)};
+        const BinaryResults narrow = RunBinaryOps(&h.ctx(), n, keys, /*shuffled=*/false);
+        const BinaryResults oracle = RunBinaryOps(&h.ctx(), n, keys, /*shuffled=*/true);
+        EXPECT_EQ(narrow.shuffles, 0u);
+        EXPECT_EQ(oracle.shuffles, 6u);
+        ASSERT_FALSE(oracle.join.empty());
+        EXPECT_TRUE(narrow.SameRows(oracle));
+      }
+    }
+  }
+}
+
+// Matching key partitioning is not enough: the partition count must equal
+// num_reduce on both sides, or the rows would sit in the wrong partitions.
+TEST(ShufflePathTest, MismatchedKeyPartitionsStillShuffle) {
+  EngineHarness h;
+  FlintContext* ctx = &h.ctx();
+  auto sum = [](int a, int b) { return a + b; };
+  auto four = ReduceByKey(Parallelize(ctx, SkewedPairs(900, 17), 3), 4, sum);
+  auto three = ReduceByKey(Parallelize(ctx, SkewedPairs(600, 17), 2), 3, sum);
+  auto expected = CollectOrEmpty(Join(Identity(four), Identity(three), 4));
+  ASSERT_FALSE(expected.empty());
+
+  const size_t before = ctx->shuffles().NumShuffles();
+  auto mixed = Join(four, three, 4);
+  EXPECT_EQ(ctx->shuffles().NumShuffles() - before, 2u);
+  EXPECT_EQ(CollectOrEmpty(mixed), expected);
+
+  // Both sides partitioned alike, but into a different count than asked.
+  auto four_b = ReduceByKey(Parallelize(ctx, SkewedPairs(600, 17), 2), 4, sum);
+  const size_t before_other_n = ctx->shuffles().NumShuffles();
+  auto regrouped = CoGroup(four, four_b, 5);
+  EXPECT_EQ(ctx->shuffles().NumShuffles() - before_other_n, 2u);
+  EXPECT_EQ(regrouped.raw()->key_partitions(), 5);
+  EXPECT_EQ(CollectOrEmpty(regrouped), CollectOrEmpty(CoGroup(Identity(four), Identity(four_b), 5)));
+}
+
+// Which operators set, keep and drop key_partitions. A wrong "kept" would
+// send a narrow join to the wrong partition and lose rows silently, so this
+// table is the correctness guard for the shuffle-free plan.
+TEST(ShufflePathTest, KeyPartitionsPropagationTable) {
+  EngineHarness h;
+  FlintContext* ctx = &h.ctx();
+  auto base = Parallelize(ctx, SkewedPairs(400, 13), 4);
+  auto generated = Generate(ctx, 3, [](int i) { return SkewedPairs(10 + i, 5); });
+  auto reduced = ReduceByKey(base, 5, [](int a, int b) { return a + b; });
+  auto grouped = GroupByKey(base, 3);
+  auto kv = [](const std::pair<int, int>& p) { return p; };
+
+  // Set: the shuffle producers and both binary operators, on either plan.
+  EXPECT_EQ(reduced.raw()->key_partitions(), 5);
+  EXPECT_EQ(grouped.raw()->key_partitions(), 3);
+  EXPECT_EQ(Join(reduced, reduced, 5).raw()->key_partitions(), 5);  // narrow
+  EXPECT_EQ(Join(base, reduced, 6).raw()->key_partitions(), 6);     // shuffled
+  EXPECT_EQ(CoGroup(reduced, reduced, 5).raw()->key_partitions(), 5);
+  EXPECT_EQ(CoGroup(reduced, base, 2).raw()->key_partitions(), 2);
+
+  // Kept: MapValues cannot move a key.
+  EXPECT_EQ(MapValues(reduced, [](int v) { return v * 2; }).raw()->key_partitions(), 5);
+  EXPECT_EQ(MapValues(base, [](int v) { return v; }).raw()->key_partitions(), 0);
+
+  // Dropped: everything else, even where the keys happen to survive.
+  EXPECT_EQ(base.raw()->key_partitions(), 0);
+  EXPECT_EQ(generated.raw()->key_partitions(), 0);
+  EXPECT_EQ(reduced.Map(kv).raw()->key_partitions(), 0);
+  EXPECT_EQ(reduced.FlatMap([](const std::pair<int, int>& p) {
+                       return std::vector<std::pair<int, int>>{p};
+                     }).raw()->key_partitions(),
+            0);
+  EXPECT_EQ(reduced.Filter([](const std::pair<int, int>&) { return true; })
+                .raw()
+                ->key_partitions(),
+            0);
+  EXPECT_EQ(reduced.MapPartitions([](const std::vector<std::pair<int, int>>& rows) {
+                       return rows;
+                     }).raw()->key_partitions(),
+            0);
+  EXPECT_EQ(Union(reduced, reduced).raw()->key_partitions(), 0);
+  EXPECT_EQ(Sample(reduced, 0.5, 7).raw()->key_partitions(), 0);
+  EXPECT_EQ(SortBy(reduced, [](const std::pair<int, int>& p) { return p.first; })
+                .raw()
+                ->key_partitions(),
+            0);
+  EXPECT_EQ(LeftOuterJoin(reduced, reduced, 5).raw()->key_partitions(), 0);
 }
 
 }  // namespace

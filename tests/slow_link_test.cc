@@ -24,6 +24,7 @@
 #include "src/engine/typed_rdd_ops.h"
 #include "src/inject/fault_injector.h"
 #include "src/market/marketplace.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 // Sanitizers stretch compute (but not sleeps) unpredictably, which breaks
@@ -493,6 +494,30 @@ TEST_F(SlowLinkTest, QuarantinePersistsAcrossNodeManagerRebuilds) {
   NodeHealthLedger::Global().Forget(victim);
   EXPECT_FALSE(nm_b.Quarantined(victim));
   EXPECT_EQ(nm_b.HealthScore(victim), 1.0);
+}
+
+// flint_net_fetch_seconds must resolve the engine's real fetch scale. Each
+// pull here moves ~12 KiB over a 64 MiB/s link and waits ~0.2 ms: below the
+// 1 ms floor of the default latency buckets, so it needs the fetch
+// histogram's own buckets, which start at 10 us.
+TEST_F(SlowLinkTest, FetchHistogramResolvesSubMillisecondPulls) {
+  constexpr int kPairs = 24000;
+  EngineHarness h{EngineHarnessOptions{.model_latency = true,
+                                       .link_bandwidth_bytes_per_s = 64.0 * kMiB}};
+  ASSERT_EQ(WideCounts(&h.ctx(), kPairs, kPairs, 4, 4).size(), static_cast<size_t>(kPairs));
+  // The fetch path registered the histogram; this lookup only finds it.
+  Histogram* hist = MetricsRegistry::Global().GetHistogram("flint_net_fetch_seconds", {});
+  ASSERT_FALSE(hist->bounds().empty());
+  EXPECT_DOUBLE_EQ(hist->bounds().front(), 1e-5);
+
+  const std::vector<uint64_t> before = hist->Counts();
+  ASSERT_EQ(WideCounts(&h.ctx(), kPairs, kPairs, 4, 4).size(), static_cast<size_t>(kPairs));
+  const std::vector<uint64_t> after = hist->Counts();
+  uint64_t sub_ms = 0;  // pulls that waited (10 us, 1 ms]
+  for (size_t b = 1; b < hist->bounds().size() && hist->bounds()[b] <= 1e-3; ++b) {
+    sub_ms += after[b] - before[b];
+  }
+  EXPECT_GT(sub_ms, 0u);
 }
 
 // Concurrency hammer over the shuffle map-output tracker: registrations,

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <map>
 
+#include "src/inject/fault_injector.h"
 #include "src/workloads/als.h"
 #include "src/workloads/kmeans.h"
 #include "src/workloads/pagerank.h"
@@ -79,6 +80,53 @@ TEST(PageRankTest, SurvivesRevocationsWithIdenticalResult) {
   for (size_t i = 0; i < r->top.size(); ++i) {
     EXPECT_EQ(r->top[i].first, ref->top[i].first);
   }
+}
+
+// The plan, pinned: `links` (GroupByKey) and `ranks` (MapValues over
+// ReduceByKey) are co-partitioned, so each iteration's Join is narrow and
+// the iteration registers exactly one shuffle, its ReduceByKey. A regression
+// that re-shuffles the cached adjacency lists every iteration fails here.
+TEST(PageRankTest, EachIterationRegistersOneShuffle) {
+  auto shuffles_after = [](int iterations) {
+    EngineHarness h;
+    PageRankParams p = SmallPageRank();
+    p.iterations = iterations;
+    EXPECT_TRUE(RunPageRank(h.ctx(), p).ok());
+    return h.ctx().shuffles().NumShuffles();
+  };
+  const size_t two = shuffles_after(2);
+  const size_t three = shuffles_after(3);
+  EXPECT_EQ(three - two, 1u);
+  EXPECT_EQ(two, 3u);  // links' GroupByKey + one ReduceByKey per iteration
+}
+
+// A hard whole-cluster revocation in the middle of iteration 1's map stage
+// (map tasks 0-3 build `links`, 4-7 run iteration 0, 8-11 iteration 1) wipes
+// the cached links, ranks and every shuffle output. The narrow join
+// partitions then recompute from lineage on the replacements, and the ranks
+// must match a clean run bit for bit.
+TEST(PageRankTest, RevokeAllStormRecomputesNarrowJoinBitIdentically) {
+  EngineHarness h_ref;
+  auto ref = RunPageRank(h_ref.ctx(), SmallPageRank());
+  ASSERT_TRUE(ref.ok());
+
+  EngineHarness h;
+  FaultPlan plan;
+  plan.events.push_back(RevokeAllAt(EnginePoint::kShuffleMapTaskRun, /*after_hits=*/9,
+                                    /*with_warning=*/false, /*replacements=*/4,
+                                    /*delay_seconds=*/0.05));
+  FaultInjector injector(&h.cluster(), plan);
+  h.ctx().SetProbe(&injector);
+  auto r = RunPageRank(h.ctx(), SmallPageRank());
+  h.ctx().SetProbe(nullptr);
+  injector.Drain();
+  h.ctx().DrainExecutors();
+
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(injector.AllEventsFired());
+  EXPECT_GT(h.ctx().counters().partitions_recomputed.load(), 0u);
+  EXPECT_EQ(r->rank_sum, ref->rank_sum);
+  EXPECT_EQ(r->top, ref->top);
 }
 
 // --- KMeans ---

@@ -417,7 +417,9 @@ run_obs_slowlink
 # cancellation, duplicate completions, and health-driven quarantine.
 # SlowLink*/ShuffleConc* hammer the hardened fetch path: concurrent
 # Fetch/RegisterShuffle/OnNodeRevoked plus retry/recompute under kSlowLink.
-run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:DfsFault*:Mutex*:Obs*'
+# ShufflePath* runs the wide-stage paths (fused bucketing, merge reduce, the
+# shuffle-free co-partitioned Join/CoGroup) across executor threads.
+run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:DfsFault*:Mutex*:Obs*'
 run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*'
 run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*'
 

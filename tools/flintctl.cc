@@ -13,13 +13,17 @@
 // Policies P: batch | interactive | cheapest | stable | ondemand.
 // Workloads W: pagerank | kmeans | als | tpch.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "src/core/flint_cluster.h"
 #include "src/inject/fault_injector.h"
@@ -57,14 +61,19 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric values parse strictly (the whole value, in range). A malformed
+  // one yields `fallback` and is remembered in error(), which each command
+  // checks before it starts any work.
   long GetInt(const std::string& key, long fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
+    return Parse(key, fallback, "an integer",
+                 [](const char* s, char** end) { return std::strtol(s, end, 10); });
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    return Parse(key, fallback, "a number",
+                 [](const char* s, char** end) { return std::strtod(s, end); });
   }
+  // The first malformed numeric value read so far; empty if none.
+  const std::string& error() const { return error_; }
   bool Has(const std::string& flag) const { return flags_.count(flag) > 0; }
   // Whether the flag appeared at all, with or without a value.
   bool Given(const std::string& key) const {
@@ -72,9 +81,39 @@ class Args {
   }
 
  private:
+  template <typename T, typename StrTo>
+  T Parse(const std::string& key, T fallback, const char* what, StrTo str_to) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) {
+      return fallback;
+    }
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const T v = str_to(s, &end);
+    bool bad = end == s || *end != '\0' || errno == ERANGE;
+    if constexpr (std::is_floating_point_v<T>) {
+      bad = bad || !std::isfinite(v);
+    }
+    if (bad) {
+      if (error_.empty()) {
+        error_ = "--" + key + ": '" + it->second + "' is not " + what;
+      }
+      return fallback;
+    }
+    return v;
+  }
+
   std::map<std::string, std::string> values_;
   std::set<std::string> flags_;
+  mutable std::string error_;
 };
+
+// Exit code 2 (usage error) for a malformed flag value.
+int BadFlag(const std::string& message) {
+  std::fprintf(stderr, "flintctl: %s\n", message.c_str());
+  return 2;
+}
 
 SelectionPolicyKind ParsePolicy(const std::string& s) {
   if (s == "interactive") {
@@ -95,6 +134,9 @@ SelectionPolicyKind ParsePolicy(const std::string& s) {
 int CmdMarkets(const Args& args) {
   const auto count = static_cast<size_t>(args.GetInt("count", 16));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 7));
+  if (!args.error().empty()) {
+    return BadFlag(args.error());
+  }
   Marketplace mp(RegionMarkets(count, seed), 0.35, seed);
   ServerSelector selector(&mp, SelectionConfig{});
   JobProfile job;
@@ -120,6 +162,9 @@ int CmdSimulate(const Args& args) {
   cfg.seed = seed;
   CanonicalJob job;
   job.base_hours = args.GetDouble("hours", job.base_hours);
+  if (!args.error().empty()) {
+    return BadFlag(args.error());
+  }
   const StrategyResult r = sim.Run(job, cfg);
   std::printf("policy=%s checkpointing=%s trials=%d\n", args.Get("policy", "batch").c_str(),
               cfg.checkpointing ? "on" : "off", cfg.trials);
@@ -138,6 +183,9 @@ int CmdMc(const Args& args) {
   cfg.checkpointing = !args.Has("no-checkpoint");
   cfg.num_markets = static_cast<int>(args.GetInt("markets", 1));
   cfg.trials = static_cast<int>(args.GetInt("trials", 4000));
+  if (!args.error().empty()) {
+    return BadFlag(args.error());
+  }
   const McResult r = SimulateCanonicalJob(job, cfg);
   std::printf("MTTF %.1fh, m=%d, checkpointing %s:\n", cfg.mttf_hours, cfg.num_markets,
               cfg.checkpointing ? "on" : "off");
@@ -176,7 +224,8 @@ int CmdRun(const Args& args) {
     ConfigureObservability(obs);
   }
   FlintOptions options;
-  options.nodes.cluster_size = static_cast<int>(args.GetInt("nodes", 10));
+  const long nodes = args.GetInt("nodes", 10);
+  options.nodes.cluster_size = static_cast<int>(nodes);
   options.nodes.policy = ParsePolicy(args.Get("policy", "batch"));
   options.checkpoint.policy =
       args.Has("no-checkpoint") ? CheckpointPolicyKind::kNone : CheckpointPolicyKind::kFlint;
@@ -194,22 +243,11 @@ int CmdRun(const Args& args) {
     options.engine.default_link_bandwidth_bytes_per_s =
         args.GetDouble("link-bandwidth", 512.0) * 1024.0 * 1024.0;
   }
-  // Every run prints its effective seed so any run — including one that used
-  // the default — can be replayed exactly with --seed.
-  std::printf("seed: %llu\n", static_cast<unsigned long long>(options.seed));
-  FlintCluster cluster(options);
-  if (Status st = cluster.Start(); !st.ok()) {
-    std::fprintf(stderr, "start failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  const std::string workload = args.Get("workload", "pagerank");
-  const uint64_t seed = options.seed;
-
   // Scripted straggler injection, replayable via the printed seed: the plan's
   // RNG (flaky coin flips) derives from it. Node pick is by ordinal over live
   // node ids at fire time.
   FaultPlan straggler_plan;
-  straggler_plan.seed = seed;
+  straggler_plan.seed = options.seed;
   if (args.Given("slow-node")) {
     straggler_plan.events.push_back(
         SlowNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
@@ -236,12 +274,28 @@ int CmdRun(const Args& args) {
                    static_cast<int>(args.GetInt("slow-link", 0)),
                    args.GetDouble("link-factor", 4.0), args.GetDouble("fault-secs", 30.0)));
   }
+  const int failures = static_cast<int>(args.GetInt("failures", 0));
+  if (!args.error().empty()) {
+    return BadFlag(args.error());
+  }
+  if (nodes <= 0 || nodes > std::numeric_limits<int>::max()) {
+    return BadFlag("--nodes must be a positive node count, got " + std::to_string(nodes));
+  }
+  // Every run prints its effective seed so any run — including one that used
+  // the default — can be replayed exactly with --seed.
+  std::printf("seed: %llu\n", static_cast<unsigned long long>(options.seed));
+  FlintCluster cluster(options);
+  if (Status st = cluster.Start(); !st.ok()) {
+    std::fprintf(stderr, "start failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  const std::string workload = args.Get("workload", "pagerank");
+  const uint64_t seed = options.seed;
   std::unique_ptr<FaultInjector> injector;
   if (!straggler_plan.events.empty()) {
     injector = std::make_unique<FaultInjector>(&cluster.cluster(), straggler_plan);
     cluster.ctx().SetProbe(injector.get());
   }
-  const int failures = static_cast<int>(args.GetInt("failures", 0));
   std::thread chaos;
   if (failures > 0) {
     chaos = std::thread([&cluster, failures] {
@@ -375,6 +429,9 @@ int CmdTrace(const Args& args) {
       ParamsForVolatility(volatility, args.GetDouble("od", 0.35),
                           static_cast<uint64_t>(args.GetInt("seed", 1)));
   params.duration = Hours(24.0 * args.GetDouble("days", 30.0));
+  if (!args.error().empty()) {
+    return BadFlag(args.error());
+  }
   const PriceTrace trace = GenerateSyntheticTrace(params);
   const std::string out = args.Get("out", "trace.csv");
   if (Status st = SaveTraceCsv(trace, out); !st.ok()) {
