@@ -19,8 +19,8 @@ namespace {
 
 // Exports EngineCounters + aggregated BlockManager/ShuffleManager counters
 // into the registry namespace. Runs only at Snapshot() time.
-void AppendCounter(std::vector<MetricSample>& out, const char* name, uint64_t v) {
-  out.push_back({name, MetricType::kCounter, static_cast<double>(v)});
+void AppendCounter(std::vector<MetricSample>& out, const char* name, double v) {
+  out.push_back({name, MetricType::kCounter, v});
 }
 
 void AppendGauge(std::vector<MetricSample>& out, const char* name, double v) {
@@ -99,6 +99,12 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
         AppendCounter(out, "flint_net_fetch_recomputes", c.net_fetch_recomputes.load());
         AppendGauge(out, "flint_net_fetch_wait_seconds",
                     static_cast<double>(c.net_fetch_wait_nanos.load()) * 1e-9);
+        AppendCounter(out, "flint_engine_tasks_placed_local", c.tasks_placed_local.load());
+        AppendCounter(out, "flint_engine_remote_cache_reads", c.remote_cache_reads.load());
+        AppendCounter(out, "flint_engine_remote_cache_read_bytes",
+                      c.remote_cache_read_bytes.load());
+        AppendCounter(out, "flint_engine_remote_cache_wait_seconds",
+                      static_cast<double>(c.remote_cache_wait_nanos.load()) * 1e-9);
 
         // BlockManager cache traffic, aggregated over live + retired nodes
         // (a revoked node's history still happened).
@@ -254,10 +260,17 @@ PartitionPtr FlintContext::LookupBlock(const BlockKey& key, NodeId local) {
         continue;
       }
       if (PartitionPtr data = node->blocks->Get(key); data != nullptr) {
-        if (!is_local && config_.model_latency &&
-            config_.remote_fetch_bandwidth_bytes_per_s > 0.0) {
-          std::this_thread::sleep_for(WallDuration(static_cast<double>(data->SizeBytes()) /
-                                                   config_.remote_fetch_bandwidth_bytes_per_s));
+        if (!is_local) {
+          const uint64_t bytes = data->SizeBytes();
+          counters_.remote_cache_reads.fetch_add(1, std::memory_order_relaxed);
+          counters_.remote_cache_read_bytes.fetch_add(bytes, std::memory_order_relaxed);
+          if (config_.model_latency && config_.remote_fetch_bandwidth_bytes_per_s > 0.0) {
+            const double wait_s =
+                static_cast<double>(bytes) / config_.remote_fetch_bandwidth_bytes_per_s;
+            counters_.remote_cache_wait_nanos.fetch_add(static_cast<int64_t>(wait_s * 1e9),
+                                                        std::memory_order_relaxed);
+            std::this_thread::sleep_for(WallDuration(wait_s));
+          }
         }
         return data;
       }

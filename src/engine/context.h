@@ -169,6 +169,12 @@ struct EngineCounters {
   std::atomic<uint64_t> net_fetch_retries{0};     // timed-out pulls retried with backoff
   std::atomic<uint64_t> net_fetch_recomputes{0};  // fetches that fell back to recompute
   std::atomic<int64_t> net_fetch_wait_nanos{0};   // modelled transfer time charged
+  // Cache-locality accounting (see LineagePreferredNode and
+  // FlintContext::LookupBlock):
+  std::atomic<uint64_t> tasks_placed_local{0};        // picks won by the preferred node
+  std::atomic<uint64_t> remote_cache_reads{0};        // cached blocks read off another node
+  std::atomic<uint64_t> remote_cache_read_bytes{0};   // bytes those reads pulled
+  std::atomic<int64_t> remote_cache_wait_nanos{0};    // modelled transfer time charged
 };
 
 // Engine-side state of one node. Retired (revoked) nodes are kept until
@@ -194,8 +200,8 @@ struct NodeState {
   // thread (serialized by job_mutex_) mutates it; atomic so readers
   // (metrics, tests) need no lock.
   std::atomic<double> swrr_credit{0.0};
-  // Round-robin dispatches routed here by PickNode (locality picks not
-  // included). Exposed for placement tests and telemetry.
+  // Dispatches routed here by PickNode, locality picks included. Exposed
+  // for placement tests and telemetry.
   std::atomic<uint64_t> tasks_picked{0};
   // --- network plane ---
   // Modelled NIC capacity (bytes/s). Initialized from

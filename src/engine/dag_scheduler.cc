@@ -135,7 +135,8 @@ std::optional<WallTime> ReadExecStart(const ExecStartStamp& stamp) {
 
 }  // namespace
 
-size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits) {
+size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits,
+                std::optional<size_t> preferred) {
   double total = 0.0;
   size_t best = 0;
   for (size_t i = 0; i < weights.size(); ++i) {
@@ -145,8 +146,40 @@ size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits
       best = i;
     }
   }
+  if (preferred.has_value() && credits[*preferred] >= credits[best] - total) {
+    best = *preferred;
+  }
   credits[best] -= total;
   return best;
+}
+
+std::optional<size_t> LineagePreferredNode(const RddPtr& rdd, int partition,
+                                           const std::vector<std::shared_ptr<NodeState>>& nodes) {
+  std::deque<std::pair<const Rdd*, int>> queue{{rdd.get(), partition}};
+  std::unordered_set<BlockKey, BlockKeyHash> visited{{rdd->id(), partition}};
+  while (!queue.empty()) {
+    const auto [cur, index] = queue.front();
+    queue.pop_front();
+    const BlockKey key{cur->id(), index};
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i]->blocks->Contains(key)) {
+        return i;
+      }
+    }
+    if (cur->checkpoint_state() == CheckpointState::kSaved) {
+      continue;  // lineage truncated: below here a task restores from the DFS
+    }
+    for (const Dependency& dep : cur->deps()) {
+      const int parent_index = index - dep.partition_offset;
+      if (dep.type != DepType::kNarrowOneToOne || dep.parent == nullptr || parent_index < 0 ||
+          parent_index >= dep.parent->num_partitions() ||
+          !visited.insert({dep.parent->id(), parent_index}).second) {
+        continue;
+      }
+      queue.emplace_back(dep.parent.get(), parent_index);
+    }
+  }
+  return std::nullopt;
 }
 
 std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partition,
@@ -163,21 +196,19 @@ std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partiti
     // (which counts it separately from convergence attempts), not here.
     return nullptr;
   }
-  // Locality: prefer a node already caching this partition.
-  const BlockKey key{rdd->id(), partition};
-  for (const auto& node : live) {
-    if (node->blocks->Contains(key)) {
-      return node;
-    }
-  }
   // Health-weighted smooth round-robin over the id-sorted schedulable set:
   // every node earns credit proportional to its EWMA health score, the
   // richest node wins and repays the total. At uniform health this is exact
-  // round-robin (identical interleave to the old counter), while a node at
-  // score 0.5 draws half the work of its healthy peers — degraded-but-
-  // unbenched nodes shed load without the cliff of quarantine. Credits live
-  // on NodeState (scheduler thread is the only writer, serialized by
-  // job_mutex_), so proportions hold across stages.
+  // round-robin, while a node at score 0.5 draws half the work of its
+  // healthy peers — degraded-but-unbenched nodes shed load without the cliff
+  // of quarantine. The node caching the task's nearest narrow ancestor takes
+  // the pick instead while its credit is within one round of the leader's:
+  // unbounded locality would pile a whole stage onto the survivors of a
+  // revocation (replacements come back cold), and the credit bound keeps
+  // every pick inside the health-weighted shares. Credits live on NodeState
+  // (scheduler thread is the only writer, serialized by job_mutex_), so
+  // proportions hold across stages.
+  const std::optional<size_t> preferred = LineagePreferredNode(rdd, partition, live);
   std::vector<double> weights(live.size());
   std::vector<double> credits(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
@@ -185,11 +216,14 @@ std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partiti
                           kMinPickWeight);
     credits[i] = live[i]->swrr_credit.load(std::memory_order_relaxed);
   }
-  const size_t pick = SwrrPick(weights, credits);
+  const size_t pick = SwrrPick(weights, credits, preferred);
   for (size_t i = 0; i < live.size(); ++i) {
     live[i]->swrr_credit.store(credits[i], std::memory_order_relaxed);
   }
   live[pick]->tasks_picked.fetch_add(1, std::memory_order_relaxed);
+  if (pick == preferred) {
+    ctx_->counters().tasks_placed_local.fetch_add(1, std::memory_order_relaxed);
+  }
   return live[pick];
 }
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/status.h"
@@ -45,9 +46,23 @@ using ExecStartStamp = std::shared_ptr<std::atomic<int64_t>>;
 // picks the highest credit (first on ties), and charges the winner the total
 // weight. With equal weights this is exact round-robin;
 // with unequal weights each index is chosen in proportion to its weight,
-// evenly interleaved. `credits` is updated in place. Exposed for unit tests;
-// PickNode persists credits on NodeState.
-size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits);
+// evenly interleaved. A `preferred` index (locality) takes the pick instead
+// of the leader when its credit is within one round (the total weight) of
+// the leader's, so preference can skew placement by at most about one round
+// per node. `credits` is updated in place. Exposed for unit tests; PickNode
+// persists credits on NodeState.
+size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits,
+                std::optional<size_t> preferred = std::nullopt);
+
+// The locality preference for (rdd, partition) among `nodes`: walks the
+// lineage breadth-first through narrow one-to-one deps (applying each dep's
+// partition offset), stopping at shuffle deps and below kSaved RDDs (a DFS
+// read has no locality). Returns the index of the first node whose block
+// manager holds a visited block, memory or spill; at one level deps are
+// checked in order, so a Join prefers its left input. nullopt when no node
+// caches any visited block. Exposed for unit tests.
+std::optional<size_t> LineagePreferredNode(const RddPtr& rdd, int partition,
+                                           const std::vector<std::shared_ptr<NodeState>>& nodes);
 
 class DagScheduler {
  public:
@@ -113,9 +128,9 @@ class DagScheduler {
   Status RecoverShuffle(int shuffle_id, int depth);
 
   // Picks an execution node for (rdd, partition) among nodes accepting new
-  // tasks, preferring cache locality and skipping `exclude`. Returns nullptr
-  // when no such node exists — the caller's stage loop parks, never this
-  // function.
+  // tasks, skipping `exclude`: health-weighted SwrrPick with the
+  // LineagePreferredNode as its bounded preference. Returns nullptr when no
+  // such node exists — the caller's stage loop parks, never this function.
   std::shared_ptr<NodeState> PickNode(const RddPtr& rdd, int partition, NodeId exclude = -1);
 
   FlintContext* ctx_;

@@ -49,6 +49,10 @@ struct Dependency {
   DepType type = DepType::kNarrowOneToOne;
   RddPtr parent;
   std::shared_ptr<ShuffleInfo> shuffle;  // set iff type == kShuffle
+  // Narrow only: child partition i reads parent partition i - partition_offset,
+  // and none when that falls outside the parent (Union's right input starts
+  // at the left input's partition count).
+  int partition_offset = 0;
 };
 
 // Checkpoint lifecycle: kNone -> kMarked (FT manager decided to checkpoint)

@@ -67,8 +67,8 @@ class RangeBucketSink final : public TypedSink<T> {
 }  // namespace rdd_internal
 
 // Concatenates two RDDs of the same type. Partitions are the union of both
-// parents' partitions (narrow: partition i of the result maps to one parent
-// partition).
+// parents' partitions (narrow: partition i < ln of the result is left
+// partition i, partition i >= ln is right partition i - ln).
 template <typename T>
 TypedRdd<T> Union(const TypedRdd<T>& left, const TypedRdd<T>& right,
                   std::string name = "union") {
@@ -80,7 +80,7 @@ TypedRdd<T> Union(const TypedRdd<T>& left, const TypedRdd<T>& right,
   RddPtr out = ctx->CreateRdd(
       std::move(name), total,
       {Dependency{DepType::kNarrowOneToOne, lp, nullptr},
-       Dependency{DepType::kNarrowOneToOne, rp, nullptr}},
+       Dependency{DepType::kNarrowOneToOne, rp, nullptr, /*partition_offset=*/ln}},
       [lp, rp, ln](int i, TaskContext& tc) -> Result<PartitionPtr> {
         if (i < ln) {
           return tc.GetPartition(lp, i);

@@ -1,15 +1,18 @@
-// Health-informed placement + execution-start deadlines (ISSUE 8
-// satellites): PickNode weights its smooth weighted round-robin by the EWMA
-// health score pushed from the NodeManager, so a degraded-but-unbenched node
-// draws proportionally less work; and attempt deadlines/service times run
-// from the executor's own execution-start stamp, so queue wait on a busy
-// node neither inflates the runtime quantiles nor counts against deadlines.
+// Task placement + execution-start deadlines: PickNode weights its smooth
+// weighted round-robin by the EWMA health score pushed from the NodeManager,
+// so a degraded-but-unbenched node draws proportionally less work; it
+// prefers the node caching the task's nearest narrow ancestor, but only
+// within one round of credit, so locality never overrides the weighted
+// shares; and attempt deadlines/service times run from the executor's own
+// execution-start stamp, so queue wait on a busy node neither inflates the
+// runtime quantiles nor counts against deadlines.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "src/engine/dag_scheduler.h"
 #include "src/engine/typed_rdd.h"
 #include "src/engine/typed_rdd_ops.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 // Sanitizers stretch compute unpredictably; keep structural assertions, drop
@@ -82,6 +86,19 @@ TEST(SwrrPickTest, DeterministicAcrossRuns) {
     EXPECT_EQ(SwrrPick(weights, credits_a), SwrrPick(weights, credits_b)) << "step " << i;
   }
   EXPECT_EQ(credits_a, credits_b);
+}
+
+TEST(SwrrPickTest, PreferenceWinsOnlyWithinOneRoundOfTheLeader) {
+  const std::vector<double> weights{1.0, 1.0, 1.0, 1.0};
+  // After the earn step the credits are {-4, 4, 0, 1}: index 1 leads, one
+  // round is 4, so index 2 (4 behind) may take the pick and index 0 (8
+  // behind) may not.
+  std::vector<double> credits{-5.0, 3.0, -1.0, 0.0};
+  EXPECT_EQ(SwrrPick(weights, credits, /*preferred=*/2), 2u);
+  EXPECT_EQ(credits, (std::vector<double>{-4.0, 4.0, -4.0, 1.0}));
+  credits = {-5.0, 3.0, -1.0, 0.0};
+  EXPECT_EQ(SwrrPick(weights, credits, /*preferred=*/0), 1u);
+  EXPECT_EQ(credits, (std::vector<double>{-4.0, 0.0, 0.0, 1.0}));
 }
 
 // --- health-weighted placement through the scheduler ---
@@ -151,6 +168,209 @@ TEST(HealthPlacementTest, ScoreRecoveryRestoresFullShare) {
   const uint64_t b = h.ctx().GetNodeState(h.node_ids()[1])->tasks_picked.load();
   EXPECT_EQ(a, 20u);
   EXPECT_EQ(b, 20u);
+}
+
+// --- locality through narrow lineage ---
+
+std::vector<uint64_t> TasksPicked(EngineHarness& h) {
+  std::vector<uint64_t> picked;
+  for (NodeId id : h.node_ids()) {
+    picked.push_back(h.ctx().GetNodeState(id)->tasks_picked.load());
+  }
+  return picked;
+}
+
+void ResetTasksPicked(EngineHarness& h) {
+  for (NodeId id : h.node_ids()) {
+    h.ctx().GetNodeState(id)->tasks_picked.store(0);
+  }
+}
+
+// Caches `rdd` on the first `owners` nodes only: the others are quarantined
+// while it materializes, then released with zero credit spent.
+template <typename T>
+void CacheOnFirstNodes(EngineHarness& h, TypedRdd<T>& rdd, size_t owners) {
+  for (size_t i = owners; i < h.node_ids().size(); ++i) {
+    ASSERT_TRUE(h.ctx().SetNodeQuarantined(h.node_ids()[i], true));
+  }
+  rdd.Cache();
+  ASSERT_TRUE(rdd.Materialize().ok());
+  for (size_t i = owners; i < h.node_ids().size(); ++i) {
+    ASSERT_TRUE(h.ctx().SetNodeQuarantined(h.node_ids()[i], false));
+  }
+}
+
+// The index (into the schedulable set) of the node caching `key`.
+std::optional<size_t> CachingNode(EngineHarness& h, const BlockKey& key) {
+  const auto live = h.ctx().SchedulableNodeStates();
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (live[i]->blocks->Contains(key)) {
+      return i;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(LocalityPlacementTest, IterationsAfterTheFirstReadNoRemoteCache) {
+  // KMeans' shape: a cached source, then per iteration a MapPartitions over
+  // it feeding a ReduceByKey. Iteration 0 caches the source wherever its
+  // map tasks ran; every later map task must run on that node.
+  EngineHarness h;
+  std::vector<int> data(1600);
+  std::iota(data.begin(), data.end(), 0);
+  auto points = Parallelize(&h.ctx(), data, 16);
+  points.Cache();
+  EngineCounters& counters = h.ctx().counters();
+  uint64_t reads_after_first = 0;
+  uint64_t bytes_after_first = 0;
+  for (int iter = 0; iter < 4; ++iter) {
+    auto partials = points.MapPartitions([iter](const std::vector<int>& rows) {
+      std::vector<std::pair<int, int>> out;
+      for (int x : rows) {
+        out.emplace_back((x + iter) % 8, 1);
+      }
+      return out;
+    });
+    auto counts = ReduceByKey(partials, 4, [](int a, int b) { return a + b; }).Collect();
+    ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+    ASSERT_EQ(counts->size(), 8u);
+    if (iter == 0) {
+      reads_after_first = counters.remote_cache_reads.load();
+      bytes_after_first = counters.remote_cache_read_bytes.load();
+    }
+  }
+  EXPECT_EQ(counters.remote_cache_reads.load(), reads_after_first);
+  EXPECT_EQ(counters.remote_cache_read_bytes.load(), bytes_after_first);
+  EXPECT_GE(counters.tasks_placed_local.load(), 3u * 16u);
+}
+
+TEST(LocalityPlacementTest, RemoteCacheReadsAreCountedAndExported) {
+  // Every partition is cached on node 0, which is then quarantined: each
+  // read goes off-node and is counted with its bytes and its modelled
+  // transfer time.
+  EngineHarnessOptions options;
+  options.model_latency = true;
+  EngineHarness h(options);
+  std::vector<int> data(4000);
+  std::iota(data.begin(), data.end(), 0);
+  auto source = Parallelize(&h.ctx(), data, 8);
+  CacheOnFirstNodes(h, source, 1);
+  ASSERT_TRUE(h.ctx().SetNodeQuarantined(h.node_ids()[0], true));
+
+  ASSERT_TRUE(source.Map([](const int& x) { return x - 1; }).Collect().ok());
+  const EngineCounters& counters = h.ctx().counters();
+  EXPECT_EQ(counters.remote_cache_reads.load(), 8u);
+  EXPECT_GE(counters.remote_cache_read_bytes.load(), data.size() * sizeof(int));
+  EXPECT_GT(counters.remote_cache_wait_nanos.load(), int64_t{0});
+  EXPECT_EQ(counters.tasks_placed_local.load(), 0u);
+
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  for (const char* name :
+       {"flint_engine_remote_cache_reads", "flint_engine_remote_cache_read_bytes",
+        "flint_engine_remote_cache_wait_seconds", "flint_engine_tasks_placed_local"}) {
+    const auto it = std::find_if(snap.samples.begin(), snap.samples.end(),
+                                 [name](const MetricSample& m) { return m.name == name; });
+    ASSERT_NE(it, snap.samples.end()) << name;
+    EXPECT_EQ(it->type, MetricType::kCounter) << name;
+  }
+  EXPECT_EQ(snap.Value("flint_engine_remote_cache_reads"), 8.0);
+  EXPECT_GT(snap.Value("flint_engine_remote_cache_wait_seconds"), 0.0);
+}
+
+TEST(LocalityPlacementTest, CacheOnHalfTheNodesDoesNotPileUp) {
+  // The storm shape: two survivors hold every cached partition, two cold
+  // replacements hold none. The credit bound caps each node at one task
+  // over its fair share; unbounded locality would give each survivor 8.
+  EngineHarness h;
+  std::vector<int> data(160);
+  std::iota(data.begin(), data.end(), 0);
+  auto source = Parallelize(&h.ctx(), data, 16);
+  CacheOnFirstNodes(h, source, 2);
+  ResetTasksPicked(h);
+
+  auto out = source.Map([](const int& x) { return x + 1; }).Collect();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), data.size());
+  const std::vector<uint64_t> picked = TasksPicked(h);
+  EXPECT_EQ(std::accumulate(picked.begin(), picked.end(), uint64_t{0}), 16u);
+  for (size_t i = 0; i < picked.size(); ++i) {
+    EXPECT_LE(picked[i], 16u / 4u + 1u) << "node " << i << " took too many tasks";
+  }
+  EXPECT_GT(h.ctx().counters().tasks_placed_local.load(), 0u);
+}
+
+TEST(LocalityPlacementTest, DegradedShareHoldsWhenEveryTaskPrefersTheDegradedNode) {
+  // Every partition is cached on the half-health node; its 12/24/24 share
+  // of 60 tasks must survive the preference (within the one task the first
+  // bounded pick may shift).
+  EngineHarnessOptions options;
+  options.num_nodes = 3;
+  EngineHarness h(options);
+  std::vector<int> data(60);
+  std::iota(data.begin(), data.end(), 0);
+  auto source = Parallelize(&h.ctx(), data, 60);
+  CacheOnFirstNodes(h, source, 1);
+  h.ctx().SetNodeHealthScore(h.node_ids()[0], 0.5);
+  ResetTasksPicked(h);
+
+  ASSERT_TRUE(source.Map([](const int& x) { return x * 3; }).Collect().ok());
+  const std::vector<uint64_t> picked = TasksPicked(h);
+  EXPECT_NEAR(static_cast<double>(picked[0]), 12.0, 1.0);
+  EXPECT_NEAR(static_cast<double>(picked[1]), 24.0, 1.0);
+  EXPECT_NEAR(static_cast<double>(picked[2]), 24.0, 1.0);
+  EXPECT_EQ(picked[0] + picked[1] + picked[2], 60u);
+}
+
+TEST(LocalityPlacementTest, SavedAncestorStopsTheWalk) {
+  EngineHarness h;
+  std::vector<int> data(40);
+  std::iota(data.begin(), data.end(), 0);
+  auto source = Parallelize(&h.ctx(), data, 4);
+  source.Cache();
+  ASSERT_TRUE(source.Materialize().ok());
+  auto mid = source.Map([](const int& x) { return x + 1; });
+  auto child = mid.Map([](const int& x) { return x * 2; });
+
+  const auto live = h.ctx().SchedulableNodeStates();
+  for (int p = 0; p < 4; ++p) {
+    const auto owner = CachingNode(h, {source.raw()->id(), p});
+    ASSERT_TRUE(owner.has_value());
+    EXPECT_EQ(LineagePreferredNode(child.raw(), p, live), owner) << "partition " << p;
+  }
+  // Once `mid` is checkpointed, a task below it restores from the DFS: the
+  // cached source is no longer on its read path.
+  ASSERT_TRUE(mid.raw()->MarkForCheckpoint());
+  mid.raw()->SetCheckpointSaved();
+  for (int p = 0; p < 4; ++p) {
+    EXPECT_EQ(LineagePreferredNode(child.raw(), p, live), std::nullopt) << "partition " << p;
+  }
+}
+
+TEST(LocalityPlacementTest, UnionRightPartitionsPreferTheirOwnCache) {
+  // 3 + 5 partitions over 4 nodes: union partition 3 + k reads right
+  // partition k, which round-robin caching put on a different node than
+  // right partition 3 + k (or none, past the end).
+  EngineHarness h;
+  std::vector<int> data(80);
+  std::iota(data.begin(), data.end(), 0);
+  auto left = Parallelize(&h.ctx(), data, 3);
+  auto right = Parallelize(&h.ctx(), data, 5).Map([](const int& x) { return -x; });
+  left.Cache();
+  right.Cache();
+  ASSERT_TRUE(left.Materialize().ok());
+  ASSERT_TRUE(right.Materialize().ok());
+  auto both = Union(left, right).Map([](const int& x) { return x * 7; });
+
+  const auto live = h.ctx().SchedulableNodeStates();
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(LineagePreferredNode(both.raw(), k, live), CachingNode(h, {left.raw()->id(), k}))
+        << "left partition " << k;
+  }
+  for (int k = 0; k < 5; ++k) {
+    const auto owner = CachingNode(h, {right.raw()->id(), k});
+    ASSERT_TRUE(owner.has_value());
+    EXPECT_EQ(LineagePreferredNode(both.raw(), 3 + k, live), owner) << "right partition " << k;
+  }
 }
 
 // --- execution-start deadlines ---

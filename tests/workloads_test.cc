@@ -172,6 +172,35 @@ TEST(KMeansTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(r1->inertia, r2->inertia);
 }
 
+// A hard whole-cluster revocation in the middle of iteration 1's map stage
+// (map tasks 0-3 run iteration 0, 4-7 iteration 1) wipes the cached points.
+// The replacements come back cold: the points are regenerated from lineage
+// wherever the map tasks land, later iterations prefer those new caches, and
+// the clustering must match a clean run bit for bit.
+TEST(KMeansTest, RevokeAllStormKeepsResultBitIdentical) {
+  EngineHarness h_ref;
+  auto ref = RunKMeans(h_ref.ctx(), SmallKMeans());
+  ASSERT_TRUE(ref.ok());
+
+  EngineHarness h;
+  FaultPlan plan;
+  plan.events.push_back(RevokeAllAt(EnginePoint::kShuffleMapTaskRun, /*after_hits=*/5,
+                                    /*with_warning=*/false, /*replacements=*/4,
+                                    /*delay_seconds=*/0.05));
+  FaultInjector injector(&h.cluster(), plan);
+  h.ctx().SetProbe(&injector);
+  auto r = RunKMeans(h.ctx(), SmallKMeans());
+  h.ctx().SetProbe(nullptr);
+  injector.Drain();
+  h.ctx().DrainExecutors();
+
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(injector.AllEventsFired());
+  EXPECT_GT(h.ctx().counters().partitions_recomputed.load(), 0u);
+  EXPECT_EQ(r->inertia, ref->inertia);
+  EXPECT_EQ(r->centroids, ref->centroids);
+}
+
 // --- ALS ---
 
 AlsParams SmallAls() {

@@ -419,7 +419,10 @@ run_obs_slowlink
 # Fetch/RegisterShuffle/OnNodeRevoked plus retry/recompute under kSlowLink.
 # ShufflePath* runs the wide-stage paths (fused bucketing, merge reduce, the
 # shuffle-free co-partitioned Join/CoGroup) across executor threads.
-run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:DfsFault*:Mutex*:Obs*'
+# SwrrPick*/HealthPlacement*/LocalityPlacement* cover placement: PickNode's
+# lineage walk reads BlockManager shards from the scheduler thread while
+# executors write them.
+run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*'
 run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*'
 run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*'
 

@@ -41,19 +41,26 @@
 namespace flint {
 namespace {
 
-// Minimal flag parser: --key value pairs after the subcommand.
+// Minimal flag parser: `--key value` pairs and bare `--flag`s after the
+// subcommand. A flag the subcommand does not take, or a stray word that is
+// not a flag's value, is remembered in error(); Main rejects it before the
+// subcommand starts.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_[argv[i] + 2] = argv[i + 1];
-      }
-    }
+  Args(int argc, char** argv, int first, const std::set<std::string>& known) {
     for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        flags_.insert(argv[i] + 2);
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        Fail(std::string("unexpected argument '") + argv[i] + "'");
+        continue;
+      }
+      const std::string key = argv[i] + 2;
+      if (known.count(key) == 0) {
+        Fail("unknown flag --" + key);
+      }
+      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        values_[key] = argv[++i];
+      } else {
+        flags_.insert(key);
       }
     }
   }
@@ -72,7 +79,8 @@ class Args {
     return Parse(key, fallback, "a number",
                  [](const char* s, char** end) { return std::strtod(s, end); });
   }
-  // The first malformed numeric value read so far; empty if none.
+  // The first unknown flag, stray argument or malformed numeric value read
+  // so far; empty if none.
   const std::string& error() const { return error_; }
   bool Has(const std::string& flag) const { return flags_.count(flag) > 0; }
   // Whether the flag appeared at all, with or without a value.
@@ -96,12 +104,16 @@ class Args {
       bad = bad || !std::isfinite(v);
     }
     if (bad) {
-      if (error_.empty()) {
-        error_ = "--" + key + ": '" + it->second + "' is not " + what;
-      }
+      Fail("--" + key + ": '" + it->second + "' is not " + what);
       return fallback;
     }
     return v;
+  }
+
+  void Fail(const std::string& message) const {
+    if (error_.empty()) {
+      error_ = message;
+    }
   }
 
   std::map<std::string, std::string> values_;
@@ -109,7 +121,7 @@ class Args {
   mutable std::string error_;
 };
 
-// Exit code 2 (usage error) for a malformed flag value.
+// Exit code 2 (usage error) for an unknown flag or a malformed flag value.
 int BadFlag(const std::string& message) {
   std::fprintf(stderr, "flintctl: %s\n", message.c_str());
   return 2;
@@ -449,12 +461,12 @@ int Usage() {
                "usage: flintctl <markets|simulate|mc|run|trace> [--flags]\n"
                "  markets  --count N --seed S\n"
                "  simulate --policy batch|interactive|cheapest|stable|ondemand\n"
-               "           --trials N --fee F [--no-checkpoint]\n"
-               "  mc       --mttf H --markets M --trials N [--no-checkpoint]\n"
+               "           --trials N --fee F --hours H --seed S [--no-checkpoint]\n"
+               "  mc       --mttf H --markets M --trials N --hours H [--no-checkpoint]\n"
                "  run      --workload pagerank|kmeans|als|tpch --policy P\n"
                "           --nodes N --failures K --mttf H --seed S [--no-checkpoint]\n"
                "           --slow-node ORD --slow-factor F --fault-secs S\n"
-               "           --hang-tasks K --hang-node ORD\n"
+               "           --hang-tasks K --hang-node ORD --spec-deadline S\n"
                "           --flaky-node ORD --flaky-prob P\n"
                "           --slow-link ORD --link-factor F --link-bandwidth MIBPS\n"
                "           --trace-out FILE --metrics-out FILE --trace-capacity N\n"
@@ -463,26 +475,38 @@ int Usage() {
   return 2;
 }
 
+// Each subcommand with the flags it reads; Main rejects any other flag.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
+  const Command commands[] = {
+      {"markets", CmdMarkets, {"count", "seed"}},
+      {"simulate", CmdSimulate, {"policy", "trials", "fee", "hours", "seed", "no-checkpoint"}},
+      {"mc", CmdMc, {"mttf", "markets", "trials", "hours", "no-checkpoint"}},
+      {"run",
+       CmdRun,
+       {"workload", "policy", "nodes", "failures", "mttf", "seed", "no-checkpoint",
+        "spec-deadline", "slow-node", "slow-factor", "fault-secs", "hang-tasks", "hang-node",
+        "flaky-node", "flaky-prob", "slow-link", "link-factor", "link-bandwidth", "trace-out",
+        "metrics-out", "trace-capacity"}},
+      {"trace", CmdTrace, {"out", "volatility", "days", "od", "seed"}},
+  };
   const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
-  if (cmd == "markets") {
-    return CmdMarkets(args);
-  }
-  if (cmd == "simulate") {
-    return CmdSimulate(args);
-  }
-  if (cmd == "mc") {
-    return CmdMc(args);
-  }
-  if (cmd == "run") {
-    return CmdRun(args);
-  }
-  if (cmd == "trace") {
-    return CmdTrace(args);
+  for (const Command& command : commands) {
+    if (cmd == command.name) {
+      const Args args(argc, argv, 2, command.flags);
+      if (!args.error().empty()) {
+        return BadFlag(cmd + ": " + args.error());
+      }
+      return command.run(args);
+    }
   }
   return Usage();
 }
