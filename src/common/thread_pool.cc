@@ -1,6 +1,5 @@
 #include "src/common/thread_pool.h"
 
-#include <atomic>
 #include <utility>
 
 namespace flint {
@@ -86,34 +85,6 @@ void ThreadPool::WorkerLoop() {
       }
     }
   }
-}
-
-void ParallelFor(size_t n, size_t num_threads, const std::function<void(size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  if (num_threads <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  std::atomic<size_t> next{0};
-  ThreadPool pool(std::min(num_threads, n));
-  for (size_t t = 0; t < pool.num_threads(); ++t) {
-    // The pool is freshly constructed and nothing calls Close() on it, so
-    // Submit cannot refuse; the (void) marks the drop as intentional.
-    (void)pool.Submit([&] {
-      for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) {
-          return;
-        }
-        fn(i);
-      }
-    });
-  }
-  pool.Wait();
 }
 
 }  // namespace flint

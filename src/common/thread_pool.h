@@ -1,6 +1,5 @@
-// Fixed-size worker pool used by the engine's executors and by benchmark
-// harnesses for parallel trials. Tasks are arbitrary std::function<void()>;
-// the pool drains and joins in the destructor.
+// Fixed-size worker pool behind the engine's executors. Tasks are arbitrary
+// std::function<void()>; the pool drains and joins in the destructor.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
@@ -50,9 +49,6 @@ class ThreadPool {
   size_t in_flight_ GUARDED_BY(mutex_) = 0;
   bool shutdown_ GUARDED_BY(mutex_) = false;
 };
-
-// Runs fn(i) for i in [0, n) across `num_threads` workers and waits.
-void ParallelFor(size_t n, size_t num_threads, const std::function<void(size_t)>& fn);
 
 }  // namespace flint
 

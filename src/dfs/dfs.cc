@@ -1,7 +1,6 @@
 #include "src/dfs/dfs.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace flint {
 
@@ -12,29 +11,6 @@ namespace {
 constexpr uint64_t kCorruptionMask = 0x5A5A5A5AC3C3C3C3ULL;
 
 }  // namespace
-
-void Dfs::ChargeWrite(uint64_t bytes, double slow_factor) const {
-  bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-  if (!model_latency_ || config_.write_bandwidth_bytes_per_s <= 0.0) {
-    return;
-  }
-  // write_bandwidth is effective per-writer throughput in logical bytes,
-  // i.e. replication fan-out is already folded in; replication does show up
-  // in MonthlyStorageCost.
-  const double seconds =
-      slow_factor * static_cast<double>(bytes) / config_.write_bandwidth_bytes_per_s;
-  std::this_thread::sleep_for(WallDuration(seconds));
-}
-
-void Dfs::ChargeRead(uint64_t bytes, double slow_factor) const {
-  bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
-  if (!model_latency_ || config_.read_bandwidth_bytes_per_s <= 0.0) {
-    return;
-  }
-  const double seconds =
-      slow_factor * static_cast<double>(bytes) / config_.read_bandwidth_bytes_per_s;
-  std::this_thread::sleep_for(WallDuration(seconds));
-}
 
 Status Dfs::Put(const std::string& path, DfsObject object) {
   if (path.empty()) {
@@ -51,7 +27,14 @@ Status Dfs::Put(const std::string& path, DfsObject object) {
     }
     slow_factor = verdict.slow_factor;
   }
-  ChargeWrite(object.size_bytes, slow_factor);
+  // write_bandwidth is effective per-writer throughput in logical bytes,
+  // i.e. replication fan-out is already folded in; replication does show up
+  // in MonthlyStorageCost.
+  bytes_written_.fetch_add(object.size_bytes, std::memory_order_relaxed);
+  if (LatencyModel* latency = latency_.load(std::memory_order_acquire)) {
+    latency->Transfer(Layer::kDfsWrite, object.size_bytes, config_.write_bandwidth_bytes_per_s,
+                      slow_factor);
+  }
   MutexLock lock(&mutex_);
   auto it = objects_.find(path);
   if (it != objects_.end()) {
@@ -81,7 +64,11 @@ Result<DfsObject> Dfs::Get(const std::string& path) const {
     }
     obj = it->second;
   }
-  ChargeRead(obj.size_bytes, slow_factor);
+  bytes_read_.fetch_add(obj.size_bytes, std::memory_order_relaxed);
+  if (LatencyModel* latency = latency_.load(std::memory_order_acquire)) {
+    latency->Transfer(Layer::kDfsRead, obj.size_bytes, config_.read_bandwidth_bytes_per_s,
+                      slow_factor);
+  }
   return obj;
 }
 

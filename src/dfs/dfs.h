@@ -3,8 +3,9 @@
 // Models the paper's HDFS-on-EBS deployment: a replicated object store whose
 // contents survive node revocations (EBS volumes are durable network disks),
 // with bandwidth-modelled writes and reads. Writers pay `bytes /
-// write_bandwidth` of wall time and readers `bytes / read_bandwidth`; the
-// replication factor multiplies write traffic. Objects are type-erased
+// write_bandwidth` of wall time and readers `bytes / read_bandwidth` through
+// the context's latency model; the replication factor multiplies write
+// traffic. Objects are type-erased
 // (shared_ptr<const void> + size) so the engine can store partition objects
 // without a serialization layer, while raw-byte files are also supported for
 // workload inputs.
@@ -25,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/latency.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
@@ -81,11 +83,11 @@ class Dfs {
 
   const DfsConfig& config() const { return config_; }
 
-  // Stores (or overwrites) `path`. Sleeps to model replicated write cost.
+  // Stores (or overwrites) `path`, waiting out the modelled write.
   // May fail with kUnavailable when a fault hook injects a storage failure.
   Status Put(const std::string& path, DfsObject object);
 
-  // Fetches `path`, sleeping to model the read. NotFound if missing; may
+  // Fetches `path`, waiting out the modelled read. NotFound if missing; may
   // fail with kUnavailable under injected storage faults.
   Result<DfsObject> Get(const std::string& path) const;
 
@@ -119,17 +121,15 @@ class Dfs {
   // Monthly storage cost at peak occupancy, including replication.
   double MonthlyStorageCost() const;
 
-  // Test hook: disable the modelled sleeps (unit tests shouldn't wait).
-  void set_model_latency(bool enabled) { model_latency_ = enabled; }
+  // Put/Get charge kDfsWrite/kDfsRead to `model`; nullptr (the default)
+  // charges nothing. FlintContext installs its own and clears it on exit.
+  void SetLatencyModel(LatencyModel* model) { latency_.store(model, std::memory_order_release); }
 
   // At most one hook; install before running jobs, clear with nullptr. The
   // hook must outlive every operation it observes.
   void SetFaultHook(DfsFaultHook* hook) { fault_hook_.store(hook, std::memory_order_release); }
 
  private:
-  void ChargeWrite(uint64_t bytes, double slow_factor) const;
-  void ChargeRead(uint64_t bytes, double slow_factor) const;
-
   DfsConfig config_;
   mutable Mutex mutex_{"Dfs::mutex_"};
   std::unordered_map<std::string, DfsObject> objects_ GUARDED_BY(mutex_);
@@ -137,9 +137,7 @@ class Dfs {
   uint64_t peak_bytes_ GUARDED_BY(mutex_) = 0;
   mutable std::atomic<uint64_t> bytes_written_{0};
   mutable std::atomic<uint64_t> bytes_read_{0};
-  // Toggled by tests via set_model_latency, read on every charge path
-  // without the lock — atomic so a mid-run toggle is a benign race, not UB.
-  std::atomic<bool> model_latency_{true};
+  std::atomic<LatencyModel*> latency_{nullptr};
   std::atomic<DfsFaultHook*> fault_hook_{nullptr};
 };
 

@@ -52,6 +52,7 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
                                       {"backoff_s", sleep_s}},
                                      std::string(kind) + " " + path);
     }
+    // flint-lint: allow(lat-raw-sleep) backoff, folded by ROADMAP item 4
     std::this_thread::sleep_for(WallDuration(sleep_s));
     backoff = std::min(backoff * policy.backoff_multiplier, policy.max_backoff_seconds);
   }

@@ -1,27 +1,17 @@
 #include "src/engine/block_manager.h"
 
 #include <algorithm>
-#include <thread>
-
-#include "src/common/units.h"
 
 namespace flint {
 
-BlockManager::BlockManager(BlockManagerConfig config) : config_(config) {
+BlockManager::BlockManager(BlockManagerConfig config, LatencyModel* latency)
+    : config_(config), latency_(latency) {
   const size_t n = static_cast<size_t>(std::max(1, config_.num_shards));
   shard_budget_bytes_ = config_.memory_budget_bytes / n;
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-void BlockManager::ChargeDisk(uint64_t bytes) const {
-  if (!config_.model_latency || config_.disk_bandwidth_bytes_per_s <= 0.0) {
-    return;
-  }
-  std::this_thread::sleep_for(
-      WallDuration(static_cast<double>(bytes) / config_.disk_bandwidth_bytes_per_s));
 }
 
 std::vector<BlockEviction> BlockManager::Put(const BlockKey& key, PartitionPtr data,
@@ -76,8 +66,8 @@ std::vector<BlockEviction> BlockManager::Put(const BlockKey& key, PartitionPtr d
     }
   }
   // Spill writes are charged outside the lock.
-  if (spill_bytes > 0) {
-    ChargeDisk(spill_bytes);
+  if (spill_bytes > 0 && latency_ != nullptr) {
+    latency_->Transfer(Layer::kSpill, spill_bytes, config_.disk_bandwidth_bytes_per_s);
   }
   return evictions;
 }
@@ -131,7 +121,9 @@ PartitionPtr BlockManager::Get(const BlockKey& key) {
   }
   // Pay the disk read; then promote back into memory (may evict others).
   // Put() removes the spill copy with correct accounting when it stores.
-  ChargeDisk(from_spill->SizeBytes());
+  if (latency_ != nullptr) {
+    latency_->Transfer(Layer::kSpill, from_spill->SizeBytes(), config_.disk_bandwidth_bytes_per_s);
+  }
   Put(key, from_spill, nullptr);
   return from_spill;
 }

@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/latency.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/units.h"
@@ -61,9 +62,8 @@ struct BlockManagerConfig {
   uint64_t memory_budget_bytes = 256 * kMiB;
   EvictionMode eviction = EvictionMode::kDrop;
   // Node-local disk bandwidth for spill reads/writes (models SSD instance
-  // storage). Reads from spilled blocks sleep size/bandwidth.
+  // storage), charged to the latency model's kSpill layer.
   double disk_bandwidth_bytes_per_s = 400.0 * kMiB;
-  bool model_latency = true;
   // Lock striping (clamped to >= 1). Each shard owns budget/num_shards bytes
   // and evicts independently, so the aggregate memory_used() never exceeds
   // the total budget but a single shard may evict while others have room.
@@ -77,7 +77,9 @@ struct BlockEviction {
 
 class BlockManager {
  public:
-  explicit BlockManager(BlockManagerConfig config);
+  // Spill writes and reads are charged to `latency` (kSpill); nullptr, for
+  // standalone use, charges nothing.
+  explicit BlockManager(BlockManagerConfig config, LatencyModel* latency = nullptr);
 
   // Inserts a block, evicting LRU blocks of its shard if needed. Returns the
   // evictions performed so the caller can update the cluster-wide registry.
@@ -142,9 +144,9 @@ class BlockManager {
   // Evicts from `shard` until `needed` bytes fit its budget.
   void EvictShardLocked(Shard& shard, uint64_t needed, std::vector<BlockEviction>* evictions)
       REQUIRES(shard.mutex);
-  void ChargeDisk(uint64_t bytes) const;
 
   BlockManagerConfig config_;
+  LatencyModel* const latency_;
   uint64_t shard_budget_bytes_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 

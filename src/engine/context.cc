@@ -1,7 +1,6 @@
 #include "src/engine/context.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "src/common/log.h"
@@ -42,6 +41,7 @@ void SortNodesById(std::vector<std::shared_ptr<NodeState>>& nodes) {
 FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig config)
     : cluster_(cluster), dfs_(dfs), config_(config) {
   scheduler_ = std::make_unique<DagScheduler>(this);
+  dfs_->SetLatencyModel(&latency_);
   cluster_->SetListener(this);
   metrics_collector_ = ScopedCollector(
       &MetricsRegistry::Global(), [this](std::vector<MetricSample>& out) {
@@ -74,8 +74,6 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
         AppendCounter(out, "flint_shuffle_fused_bucket_chains",
                       c.shuffle_fused_bucket_chains.load());
         AppendCounter(out, "flint_shuffle_combine_hits", c.shuffle_combine_hits.load());
-        AppendCounter(out, "flint_shuffle_merge_reduces", c.shuffle_merge_reduces.load());
-        AppendCounter(out, "flint_shuffle_hash_reduces", c.shuffle_hash_reduces.load());
         AppendCounter(out, "flint_engine_stage_quantile_seeded",
                       c.stage_quantile_seeded.load());
         AppendCounter(out, "flint_engine_tasks_speculated", c.tasks_speculated.load());
@@ -104,7 +102,14 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
         AppendCounter(out, "flint_engine_remote_cache_read_bytes",
                       c.remote_cache_read_bytes.load());
         AppendCounter(out, "flint_engine_remote_cache_wait_seconds",
-                      static_cast<double>(c.remote_cache_wait_nanos.load()) * 1e-9);
+                      latency_.Seconds(Layer::kCacheRemote));
+        // flint_engine_latency_<layer>_seconds for the layers without a
+        // named series (remote cache above, shuffle fetch under flint_net_).
+        for (Layer layer : {Layer::kOriginRead, Layer::kSpill, Layer::kDfsWrite,
+                            Layer::kDfsRead, Layer::kInjectedSlow}) {
+          out.push_back({std::string("flint_engine_latency_") + LayerName(layer) + "_seconds",
+                         MetricType::kCounter, latency_.Seconds(layer)});
+        }
 
         // BlockManager cache traffic, aggregated over live + retired nodes
         // (a revoked node's history still happened).
@@ -169,6 +174,7 @@ FlintContext::~FlintContext() {
   for (auto& node : all) {
     node->pool->Wait();
   }
+  dfs_->SetLatencyModel(nullptr);
 }
 
 int FlintContext::NextRddId() { return next_rdd_id_.fetch_add(1, std::memory_order_relaxed); }
@@ -264,13 +270,7 @@ PartitionPtr FlintContext::LookupBlock(const BlockKey& key, NodeId local) {
           const uint64_t bytes = data->SizeBytes();
           counters_.remote_cache_reads.fetch_add(1, std::memory_order_relaxed);
           counters_.remote_cache_read_bytes.fetch_add(bytes, std::memory_order_relaxed);
-          if (config_.model_latency && config_.remote_fetch_bandwidth_bytes_per_s > 0.0) {
-            const double wait_s =
-                static_cast<double>(bytes) / config_.remote_fetch_bandwidth_bytes_per_s;
-            counters_.remote_cache_wait_nanos.fetch_add(static_cast<int64_t>(wait_s * 1e9),
-                                                        std::memory_order_relaxed);
-            std::this_thread::sleep_for(WallDuration(wait_s));
-          }
+          latency_.Transfer(Layer::kCacheRemote, bytes, config_.remote_fetch_bandwidth_bytes_per_s);
         }
         return data;
       }
@@ -724,30 +724,6 @@ Result<PartitionPtr> FlintContext::RestoreFromCheckpoint(const RddPtr& rdd, int 
   return data;
 }
 
-Status FlintContext::EnqueueCheckpointWriteWithData(const RddPtr& rdd, int partition,
-                                                    PartitionPtr data) {
-  auto live = SchedulableNodeStates();
-  if (live.empty()) {
-    return Unavailable("no live node for checkpoint write");
-  }
-  const size_t pick = static_cast<size_t>(round_robin_.fetch_add(1, std::memory_order_relaxed)) %
-                      live.size();
-  std::shared_ptr<NodeState> node = live[pick];
-  const bool queued = node->pool->Submit([this, rdd, partition, data = std::move(data)] {
-    if (dfs_->Exists(rdd->CheckpointPath(partition))) {
-      return;
-    }
-    Status st = WriteCheckpointData(rdd, partition, data);
-    if (!st.ok()) {
-      FLINT_WLOG() << "checkpoint write failed: " << st.ToString();
-    }
-  });
-  if (!queued) {
-    return Unavailable("node pool shutting down");
-  }
-  return Status::Ok();
-}
-
 Status FlintContext::EnqueueCheckpointWrite(const RddPtr& rdd, int partition) {
   // Pick any schedulable node's executor; checkpoint tasks consume the same
   // CPU/IO the paper's checkpointing tasks do.
@@ -819,14 +795,6 @@ void FlintContext::NotifyLinkSample(NodeId node, double throughput_ratio, bool s
   }
 }
 
-void FlintContext::ChargeOriginRead(uint64_t bytes) const {
-  if (!config_.model_latency || config_.origin_read_bandwidth_bytes_per_s <= 0.0) {
-    return;
-  }
-  std::this_thread::sleep_for(
-      WallDuration(static_cast<double>(bytes) / config_.origin_read_bandwidth_bytes_per_s));
-}
-
 // --- ClusterListener ---
 
 void FlintContext::OnNodeAdded(const NodeInfo& info) {
@@ -834,7 +802,7 @@ void FlintContext::OnNodeAdded(const NodeInfo& info) {
   node->info = info;
   BlockManagerConfig bm = config_.block_defaults;
   bm.memory_budget_bytes = info.memory_budget_bytes;
-  node->blocks = std::make_unique<BlockManager>(bm);
+  node->blocks = std::make_unique<BlockManager>(bm, &latency_);
   node->pool = std::make_unique<ThreadPool>(static_cast<size_t>(info.executor_threads));
   if (config_.default_link_bandwidth_bytes_per_s > 0.0) {
     node->link_bandwidth_bytes_per_s.store(config_.default_link_bandwidth_bytes_per_s,

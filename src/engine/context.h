@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/cluster/cluster_manager.h"
+#include "src/common/latency.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
@@ -73,6 +74,9 @@ struct EngineConfig {
   // re-fetch + re-partition + deserialize path, Sec 5.4). Source RDD computes
   // pay bytes/bandwidth on top of generation compute.
   double origin_read_bandwidth_bytes_per_s = 48.0 * kMiB;
+  // The one latency switch (src/common/latency.h): off, every modelled I/O
+  // wait — origin and remote cache reads, spill, DFS checkpoint I/O, shuffle
+  // fetch — takes no time. Injected faults and retry backoff still wait.
   bool model_latency = true;
   // Narrow-chain operator fusion (see fusion.h / DESIGN.md "Execution hot
   // path"): chains of streaming one-to-one operators execute as one task
@@ -84,10 +88,6 @@ struct EngineConfig {
   // the map-side partition. Requires operator_fusion; off falls back to
   // materialize-then-bucket (same sinks, bit-identical buckets).
   bool shuffle_fusion = true;
-  // Reduce side consumes key-sorted buckets with a k-way merge + combine
-  // instead of rebuilding a hash table. Off switches to the flat-hash
-  // rebuild (differential-testing fallback; outputs are bit-identical).
-  bool shuffle_merge_reduce = true;
   // Backoff/deadline applied to every checkpoint Put (partition objects and
   // manifests) and to verified restore reads. Transient DFS failures retry
   // inside this budget; exhausting it abandons the write (the FT manager's
@@ -119,6 +119,9 @@ struct EngineConfig {
 // Monotonic counters for experiment reporting. All fields are cumulative
 // since context creation.
 struct EngineCounters {
+  explicit EngineCounters(LatencyModel& latency)
+      : net_fetch_wait_nanos(latency.Account(Layer::kShuffleFetch)) {}
+
   std::atomic<uint64_t> tasks_run{0};
   std::atomic<uint64_t> task_failures{0};
   std::atomic<uint64_t> partitions_computed{0};
@@ -146,8 +149,6 @@ struct EngineCounters {
   std::atomic<uint64_t> shuffle_rows_bucketed_unfused{0};  // rows bucketed after materializing
   std::atomic<uint64_t> shuffle_fused_bucket_chains{0};    // map tasks that elided their output
   std::atomic<uint64_t> shuffle_combine_hits{0};   // map-side rows absorbed by the combiner
-  std::atomic<uint64_t> shuffle_merge_reduces{0};  // reduce tasks served by k-way merge
-  std::atomic<uint64_t> shuffle_hash_reduces{0};   // reduce tasks served by hash rebuild
   // Stages whose speculation deadlines armed from the previous stage's
   // carried quantile before reaching in-stage quorum.
   std::atomic<uint64_t> stage_quantile_seeded{0};
@@ -168,13 +169,13 @@ struct EngineCounters {
   std::atomic<uint64_t> net_fetches_slow{0};      // pulls that blew the fetch timeout
   std::atomic<uint64_t> net_fetch_retries{0};     // timed-out pulls retried with backoff
   std::atomic<uint64_t> net_fetch_recomputes{0};  // fetches that fell back to recompute
-  std::atomic<int64_t> net_fetch_wait_nanos{0};   // modelled transfer time charged
+  // Modelled transfer time charged: the latency model's kShuffleFetch account.
+  std::atomic<int64_t>& net_fetch_wait_nanos;
   // Cache-locality accounting (see LineagePreferredNode and
   // FlintContext::LookupBlock):
   std::atomic<uint64_t> tasks_placed_local{0};        // picks won by the preferred node
   std::atomic<uint64_t> remote_cache_reads{0};        // cached blocks read off another node
   std::atomic<uint64_t> remote_cache_read_bytes{0};   // bytes those reads pulled
-  std::atomic<int64_t> remote_cache_wait_nanos{0};    // modelled transfer time charged
 };
 
 // Engine-side state of one node. Retired (revoked) nodes are kept until
@@ -227,6 +228,9 @@ class FlintContext : public ClusterListener {
   ShuffleManager& shuffles() { return shuffle_mgr_; }
   const EngineConfig& config() const { return config_; }
   EngineCounters& counters() { return counters_; }
+  // Every modelled I/O wait of this context, with its per-layer accounts.
+  // The Dfs and every node's BlockManager charge through it too.
+  LatencyModel& latency() { return latency_; }
 
   // --- RDD registry ---
   RddPtr CreateRdd(std::string name, int num_partitions, std::vector<Dependency> deps,
@@ -301,10 +305,6 @@ class FlintContext : public ClusterListener {
   // fires OnCheckpointWritten. Used by the fault-tolerance manager.
   Status EnqueueCheckpointWrite(const RddPtr& rdd, int partition);
 
-  // Fast path used at task completion: the computed partition is in hand, so
-  // the async write needs no recomputation.
-  Status EnqueueCheckpointWriteWithData(const RddPtr& rdd, int partition, PartitionPtr data);
-
   // Synchronous variant used on the revocation-warning path.
   Status WriteCheckpointNow(const RddPtr& rdd, int partition, TaskContext& tc);
   // Writes `data` (checksummed, with retry/backoff) and fires
@@ -339,7 +339,6 @@ class FlintContext : public ClusterListener {
 
   // --- event plumbing (called from TaskContext / scheduler) ---
   void NotifyPartitionComputed(const RddPtr& rdd, int partition, double seconds);
-  void ChargeOriginRead(uint64_t bytes) const;
   // Straggler telemetry fan-out to observers (node-health scorer).
   void NotifyTaskAttemptFinished(NodeId node, double seconds, bool success);
   void NotifyTaskDeadlineMiss(NodeId node);
@@ -406,7 +405,8 @@ class FlintContext : public ClusterListener {
   Dfs* dfs_;
   EngineConfig config_;
   ShuffleManager shuffle_mgr_;
-  EngineCounters counters_;
+  LatencyModel latency_{config_.model_latency};
+  EngineCounters counters_{latency_};
 
   mutable Mutex nodes_mutex_{"FlintContext::nodes_mutex_"};
   CondVar node_added_cv_;

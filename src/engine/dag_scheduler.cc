@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -81,9 +82,10 @@ WallClock::duration ToClockDuration(double seconds) {
 // *status set when the attempt must not proceed to compute.
 bool RunFaultPreamble(TaskContext& tc, const TaskFaultDirective& directive, Status* status) {
   if (directive.hang) {
-    while (!tc.Cancelled()) {
-      std::this_thread::sleep_for(WallDuration(200e-6));
-    }
+    // Unbounded wait, ended only by cancellation; always returns kUnavailable.
+    (void)tc.context().latency().Wait(Layer::kInjectedSlow,
+                                      std::numeric_limits<double>::infinity(),
+                                      [&tc] { return tc.Cancelled(); });
     *status = Unavailable("task attempt cancelled while hung");
     return false;
   }
@@ -102,16 +104,11 @@ bool StretchCompute(TaskContext& tc, const TaskFaultDirective& directive, WallTi
     return true;
   }
   const double elapsed = WallDuration(WallClock::now() - t0).count();
-  const WallTime until =
-      WallClock::now() + ToClockDuration(elapsed * (directive.slow_factor - 1.0));
-  while (WallClock::now() < until) {
-    if (tc.Cancelled()) {
-      return false;
-    }
-    std::this_thread::sleep_for(
-        std::min(WallDuration(1e-3), WallDuration(until - WallClock::now())));
-  }
-  return true;
+  return tc.context()
+      .latency()
+      .Wait(Layer::kInjectedSlow, elapsed * (directive.slow_factor - 1.0),
+            [&tc] { return tc.Cancelled(); })
+      .ok();
 }
 
 // A zero-score node still deserves a trickle: total starvation would freeze
@@ -397,6 +394,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         // Every missing slot is inside its retry backoff window.
         const WallTime now = WallClock::now();
         if (earliest_retry > now) {
+          // flint-lint: allow(lat-raw-sleep) backoff, folded by ROADMAP item 4
           std::this_thread::sleep_for(
               std::min(WallDuration(earliest_retry - now), WallDuration(0.05)));
         }
@@ -657,6 +655,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       stalled_rounds = 0;
     } else {
       ++stalled_rounds;
+      // flint-lint: allow(lat-raw-sleep) backoff, folded by ROADMAP item 4
       std::this_thread::sleep_for(StallBackoff(stalled_rounds));
     }
   }

@@ -198,9 +198,4 @@ size_t ShuffleManager::NumShuffles() const {
   return shuffles_.size();
 }
 
-void ShuffleManager::RemoveShuffle(int shuffle_id) {
-  MutexLock lock(&mutex_);
-  shuffles_.erase(shuffle_id);
-}
-
 }  // namespace flint

@@ -84,9 +84,6 @@ class ShuffleManager {
   // outputs are dead weight kept only for potential recovery).
   uint64_t RecentShuffleBytes(int last_n) const;
 
-  // Removes all state for a shuffle (job teardown).
-  void RemoveShuffle(int shuffle_id);
-
  private:
   struct MapOutput {
     NodeId node = -1;

@@ -1,8 +1,6 @@
 #include "src/engine/task_context.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "src/common/log.h"
@@ -26,6 +24,12 @@ bool FusableIntermediate(const RddPtr& rdd) {
          rdd->deps()[0].type == DepType::kNarrowOneToOne && rdd->deps()[0].parent != nullptr &&
          !rdd->should_cache() && rdd->checkpoint_state() == CheckpointState::kNone &&
          rdd->consumer_count() <= 1;
+}
+
+// Wall seconds since `t0` minus the latency waits (origin and remote cache
+// reads, spill, shuffle fetch) the thread made since `waited0`: compute only.
+double ComputeSeconds(WallTime t0, double waited0) {
+  return WallDuration(WallClock::now() - t0).count() - (ThreadWaitedSeconds() - waited0);
 }
 
 }  // namespace
@@ -65,11 +69,12 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
 
   // 3. Recompute from lineage (fused when the chain allows it).
   const auto t0 = WallClock::now();
+  const double waited0 = ThreadWaitedSeconds();
   Result<PartitionPtr> computed = ComputeFromLineage(rdd, partition);
   if (!computed.ok()) {
     return computed.status();
   }
-  const double seconds = WallDuration(WallClock::now() - t0).count();
+  const double seconds = ComputeSeconds(t0, waited0);
   if (Cancelled()) {
     return Unavailable("node revoked during compute");
   }
@@ -165,6 +170,7 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
     FLINT_ASSIGN_OR_RETURN(PartitionPtr input, GetPartition(barrier, partition));
 
     const auto t0 = WallClock::now();
+    const double waited0 = ThreadWaitedSeconds();
     BucketTerminal terminal =
         info.make_bucket_sink(info.num_reduce_partitions, input->NumRecords());
     FusionSink* down = terminal.sink.get();
@@ -175,7 +181,7 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
       down = adapters.back().get();
     }
     chain.back()->fusion_ops()->drive(partition, *input, *down);
-    const double seconds = WallDuration(WallClock::now() - t0).count();
+    const double seconds = ComputeSeconds(t0, waited0);
     if (Cancelled()) {
       return Unavailable("node revoked during compute");
     }
@@ -249,26 +255,14 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
   if (effective > 0.0) {
     ctx_->RecordLinkThroughput(producer, effective);
   }
-  const double transfer_s =
-      (cfg.model_latency && effective > 0.0) ? static_cast<double>(bytes) / effective : 0.0;
+  LatencyModel& latency = ctx_->latency();
+  const double transfer_s = latency.TransferSeconds(bytes, capacity, factor);
   const bool timed_out = timeout_seconds > 0.0 && transfer_s > timeout_seconds;
   // A timed-out pull still waits out the timeout (the consumer cannot know
   // the transfer is doomed until the deadline passes), then abandons it.
   const double wait_s = timed_out ? timeout_seconds : transfer_s;
-  if (wait_s > 0.0) {
-    const auto t0 = WallClock::now();
-    while (true) {
-      if (Cancelled()) {
-        return Unavailable("cancelled during shuffle fetch");
-      }
-      const double elapsed = WallDuration(WallClock::now() - t0).count();
-      if (elapsed >= wait_s) {
-        break;
-      }
-      std::this_thread::sleep_for(WallDuration(std::min(0.001, wait_s - elapsed)));
-    }
-    counters.net_fetch_wait_nanos.fetch_add(static_cast<int64_t>(wait_s * 1e9),
-                                            std::memory_order_relaxed);
+  if (!latency.Wait(Layer::kShuffleFetch, wait_s, [this] { return Cancelled(); }).ok()) {
+    return Unavailable("cancelled during shuffle fetch");
   }
   FetchSecondsHistogram()->Observe(wait_s);
   const double ratio = capacity > 0.0 ? std::clamp(effective / capacity, 0.0, 1.0) : 0.0;
@@ -320,16 +314,8 @@ Result<std::vector<PartitionPtr>> TaskContext::FetchShuffle(int shuffle_id, int 
                                       {"producer", static_cast<double>(slow_producer)}});
       const double backoff =
           cfg.fetch_retry_backoff_seconds * static_cast<double>(1 << std::min(attempt - 1, 10));
-      const auto t0 = WallClock::now();
-      while (backoff > 0.0) {
-        if (Cancelled()) {
-          return Unavailable("cancelled during fetch backoff");
-        }
-        const double elapsed = WallDuration(WallClock::now() - t0).count();
-        if (elapsed >= backoff) {
-          break;
-        }
-        std::this_thread::sleep_for(WallDuration(std::min(0.001, backoff - elapsed)));
+      if (!WaitSeconds(backoff, [this] { return Cancelled(); }).ok()) {
+        return Unavailable("cancelled during fetch backoff");
       }
     }
     auto fetched = ctx_->shuffles().FetchDetailed(shuffle_id, reduce_part);

@@ -226,7 +226,9 @@ TypedRdd<T> Parallelize(FlintContext* ctx, std::vector<T> data, int num_partitio
         std::vector<T> rows(shared->begin() + static_cast<ptrdiff_t>(begin),
                             shared->begin() + static_cast<ptrdiff_t>(end));
         PartitionPtr part = MakePartition(std::move(rows));
-        tc.context().ChargeOriginRead(part->SizeBytes());
+        FlintContext& ctx = tc.context();
+        ctx.latency().Transfer(Layer::kOriginRead, part->SizeBytes(),
+                               ctx.config().origin_read_bandwidth_bytes_per_s);
         return part;
       });
   return TypedRdd<T>(ctx, std::move(out));
@@ -242,7 +244,10 @@ auto Generate(FlintContext* ctx, int num_partitions, F fn, std::string name = "g
   RddPtr out = ctx->CreateRdd(std::move(name), num_partitions, {},
                               [fn](int i, TaskContext& tc) -> Result<PartitionPtr> {
                                 PartitionPtr part = MakePartition(fn(i));
-                                tc.context().ChargeOriginRead(part->SizeBytes());
+                                FlintContext& ctx = tc.context();
+                                ctx.latency().Transfer(
+                                    Layer::kOriginRead, part->SizeBytes(),
+                                    ctx.config().origin_read_bandwidth_bytes_per_s);
                                 return part;
                               });
   return TypedRdd<T>(ctx, std::move(out));
@@ -255,9 +260,9 @@ auto Generate(FlintContext* ctx, int num_partitions, F fn, std::string name = "g
 // into the reduce-side buckets without ever materializing the map-side
 // partition (TaskContext::ComputeShuffleBuckets). Every sink emits its
 // buckets key-sorted, which the reduce side exploits with a k-way
-// merge + combine instead of rebuilding a hash table. Both the map-side
-// combiner and the hash-rebuild fallback use FlatHashMap (flat_hash.h),
-// whose insertion-order iteration keeps every path deterministic.
+// merge + combine instead of rebuilding a hash table. The map-side combiner
+// uses FlatHashMap (flat_hash.h), whose insertion-order iteration keeps it
+// deterministic.
 
 namespace rdd_internal {
 
@@ -422,9 +427,9 @@ BucketTerminalFactory MakeCombineBucketFactory(Combine combine, EngineCounters* 
 
 // K-way merge + combine over key-sorted buckets whose keys are unique per
 // bucket (CombineBucketSink output). Values combine across buckets in bucket
-// index order — exactly the order the hash-rebuild fallback applies them in,
-// so both reduce paths are bit-identical even for non-commutative (but
-// associative) combines. Output is key-sorted by construction.
+// index order, so the per-key fold runs in (map partition, row) order and
+// a non-commutative (but associative) combine is deterministic. Output is
+// key-sorted by construction.
 template <typename K, typename V, typename Combine>
 std::vector<std::pair<K, V>> MergeCombineBuckets(const std::vector<PartitionPtr>& buckets,
                                                  const Combine& combine) {
@@ -612,32 +617,7 @@ PairRdd<K, V> ReduceByKey(const PairRdd<K, V>& parent, int num_reduce, Combine c
       [info, combine](int j, TaskContext& tc) -> Result<PartitionPtr> {
         FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> buckets,
                                tc.FetchShuffle(info->shuffle_id, j));
-        EngineCounters& counters = tc.context().counters();
-        if (tc.context().config().shuffle_merge_reduce) {
-          counters.shuffle_merge_reduces.fetch_add(1, std::memory_order_relaxed);
-          return MakePartition(rdd_internal::MergeCombineBuckets<K, V>(buckets, combine));
-        }
-        // Hash-rebuild fallback: combine in bucket order (matching the
-        // merge), then sort the unique keys.
-        counters.shuffle_hash_reduces.fetch_add(1, std::memory_order_relaxed);
-        FlatHashMap<K, V, KeyHasher<K>> acc;
-        size_t largest = 0;
-        for (const auto& b : buckets) {
-          largest = std::max(largest, static_cast<size_t>(b->NumRecords()));
-        }
-        acc.Reserve(largest);
-        for (const auto& b : buckets) {
-          for (const auto& kv : Rows<std::pair<K, V>>(*b)) {
-            auto [slot, inserted] = acc.FindOrEmplace(kv.first, kv.second);
-            if (!inserted) {
-              *slot = combine(*slot, kv.second);
-            }
-          }
-        }
-        std::vector<std::pair<K, V>> rows = acc.TakeEntries();
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        return MakePartition(std::move(rows));
+        return MakePartition(rdd_internal::MergeCombineBuckets<K, V>(buckets, combine));
       });
   out->set_key_partitions(num_reduce);
   return PairRdd<K, V>(ctx, std::move(out));
@@ -657,22 +637,7 @@ PairRdd<K, std::vector<V>> GroupByKey(const PairRdd<K, V>& parent, int num_reduc
       [info](int j, TaskContext& tc) -> Result<PartitionPtr> {
         FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> buckets,
                                tc.FetchShuffle(info->shuffle_id, j));
-        EngineCounters& counters = tc.context().counters();
-        if (tc.context().config().shuffle_merge_reduce) {
-          counters.shuffle_merge_reduces.fetch_add(1, std::memory_order_relaxed);
-          return MakePartition(rdd_internal::MergeGroupBuckets<K, V>(buckets));
-        }
-        counters.shuffle_hash_reduces.fetch_add(1, std::memory_order_relaxed);
-        FlatHashMap<K, std::vector<V>, KeyHasher<K>> acc;
-        for (const auto& b : buckets) {
-          for (const auto& kv : Rows<std::pair<K, V>>(*b)) {
-            acc[kv.first].push_back(kv.second);
-          }
-        }
-        std::vector<std::pair<K, std::vector<V>>> rows = acc.TakeEntries();
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        return MakePartition(std::move(rows));
+        return MakePartition(rdd_internal::MergeGroupBuckets<K, V>(buckets));
       });
   out->set_key_partitions(num_reduce);
   return PairRdd<K, std::vector<V>>(ctx, std::move(out));
@@ -680,9 +645,8 @@ PairRdd<K, std::vector<V>> GroupByKey(const PairRdd<K, V>& parent, int num_reduc
 
 // Inner join by key into `num_reduce` partitions (shuffle-free when both
 // sides are already co-partitioned, see MakeBinaryByKey). The reduce side
-// merge-joins the key-sorted buckets (or, with merge-reduce off, builds a
-// flat hash table from the left input). Output is key-sorted; per key, rows
-// follow (right row order, left row order) — identical on both reduce paths.
+// merge-joins the key-sorted buckets. Output is key-sorted; per key, rows
+// follow (right row order, left row order).
 template <typename K, typename V, typename W>
 PairRdd<K, std::pair<V, W>> Join(const PairRdd<K, V>& left, const PairRdd<K, W>& right,
                                  int num_reduce, std::string name = "join") {
@@ -690,77 +654,42 @@ PairRdd<K, std::pair<V, W>> Join(const PairRdd<K, V>& left, const PairRdd<K, W>&
   RddPtr out = rdd_internal::MakeBinaryByKey<K, V, W>(
       ctx, left.raw(), right.raw(), num_reduce, std::move(name),
       [](const std::vector<PartitionPtr>& lbuckets, const std::vector<PartitionPtr>& rbuckets,
-         TaskContext& tc) -> PartitionPtr {
-        EngineCounters& counters = tc.context().counters();
-        std::vector<std::pair<K, std::pair<V, W>>> rows;
-        if (tc.context().config().shuffle_merge_reduce) {
-          counters.shuffle_merge_reduces.fetch_add(1, std::memory_order_relaxed);
-          std::vector<std::pair<K, std::vector<V>>> lg =
-              rdd_internal::MergeGroupBuckets<K, V>(lbuckets);
-          std::vector<std::pair<K, std::vector<W>>> rg =
-              rdd_internal::MergeGroupBuckets<K, W>(rbuckets);
-          // Two-pointer sweep over the sorted groups: size the output
-          // exactly, then emit.
-          size_t total = 0;
-          for (size_t li = 0, ri = 0; li < lg.size() && ri < rg.size();) {
-            if (lg[li].first < rg[ri].first) {
-              ++li;
-            } else if (rg[ri].first < lg[li].first) {
-              ++ri;
-            } else {
-              total += lg[li].second.size() * rg[ri].second.size();
-              ++li;
-              ++ri;
-            }
-          }
-          rows.reserve(total);
-          for (size_t li = 0, ri = 0; li < lg.size() && ri < rg.size();) {
-            if (lg[li].first < rg[ri].first) {
-              ++li;
-            } else if (rg[ri].first < lg[li].first) {
-              ++ri;
-            } else {
-              for (const W& w : rg[ri].second) {
-                for (const V& v : lg[li].second) {
-                  rows.emplace_back(lg[li].first, std::make_pair(v, w));
-                }
-              }
-              ++li;
-              ++ri;
-            }
-          }
-          return MakePartition(std::move(rows));
-        }
-        counters.shuffle_hash_reduces.fetch_add(1, std::memory_order_relaxed);
-        FlatHashMap<K, std::vector<V>, KeyHasher<K>> table;
-        for (const auto& b : lbuckets) {
-          for (const auto& kv : Rows<std::pair<K, V>>(*b)) {
-            table[kv.first].push_back(kv.second);
-          }
-        }
-        // Count matches first so the output vector is built in one
-        // allocation, then emit and stable-sort (per-key emission order must
-        // survive the sort to match the merge path).
+         TaskContext&) -> PartitionPtr {
+        std::vector<std::pair<K, std::vector<V>>> lg =
+            rdd_internal::MergeGroupBuckets<K, V>(lbuckets);
+        std::vector<std::pair<K, std::vector<W>>> rg =
+            rdd_internal::MergeGroupBuckets<K, W>(rbuckets);
+        // Two-pointer sweep over the sorted groups: size the output exactly,
+        // then emit.
         size_t total = 0;
-        for (const auto& b : rbuckets) {
-          for (const auto& kw : Rows<std::pair<K, W>>(*b)) {
-            if (const std::vector<V>* vs = table.Find(kw.first)) {
-              total += vs->size();
-            }
+        for (size_t li = 0, ri = 0; li < lg.size() && ri < rg.size();) {
+          if (lg[li].first < rg[ri].first) {
+            ++li;
+          } else if (rg[ri].first < lg[li].first) {
+            ++ri;
+          } else {
+            total += lg[li].second.size() * rg[ri].second.size();
+            ++li;
+            ++ri;
           }
         }
+        std::vector<std::pair<K, std::pair<V, W>>> rows;
         rows.reserve(total);
-        for (const auto& b : rbuckets) {
-          for (const auto& kw : Rows<std::pair<K, W>>(*b)) {
-            if (const std::vector<V>* vs = table.Find(kw.first)) {
-              for (const V& v : *vs) {
-                rows.emplace_back(kw.first, std::make_pair(v, kw.second));
+        for (size_t li = 0, ri = 0; li < lg.size() && ri < rg.size();) {
+          if (lg[li].first < rg[ri].first) {
+            ++li;
+          } else if (rg[ri].first < lg[li].first) {
+            ++ri;
+          } else {
+            for (const W& w : rg[ri].second) {
+              for (const V& v : lg[li].second) {
+                rows.emplace_back(lg[li].first, std::make_pair(v, w));
               }
             }
+            ++li;
+            ++ri;
           }
         }
-        std::stable_sort(rows.begin(), rows.end(),
-                         [](const auto& a, const auto& b) { return a.first < b.first; });
         return MakePartition(std::move(rows));
       });
   return PairRdd<K, std::pair<V, W>>(ctx, std::move(out));

@@ -223,6 +223,9 @@ TEST(FtManagerTest, SystemsLevelSnapshotsWholeCache) {
     snapshotted = !h.dfs().List("sys/").empty();
   }
   ft.Stop();
+  // The last epoch's blob writes run on the executors; let them land before
+  // counting (an earlier epoch's blobs are deleted when the next one starts).
+  h.ctx().DrainExecutors();
   EXPECT_TRUE(snapshotted);
   // Both cached RDDs' partitions appear in the snapshot (8 blocks).
   EXPECT_GE(h.dfs().List("sys/").size(), 8u);

@@ -152,11 +152,8 @@ TEST(ClusterManagerTest, RevokingUnknownNodeIsANoop) {
 
 // --- Dfs ---
 
-std::unique_ptr<Dfs> FastDfs() {
-  auto dfs = std::make_unique<Dfs>(DfsConfig{});
-  dfs->set_model_latency(false);
-  return dfs;
-}
+// A standalone Dfs has no latency model, so its transfers take no time.
+std::unique_ptr<Dfs> FastDfs() { return std::make_unique<Dfs>(DfsConfig{}); }
 
 DfsObject BytesObject(size_t n) {
   auto vec = std::make_shared<const std::vector<uint8_t>>(n, 0xab);
@@ -213,7 +210,6 @@ TEST(DfsTest, StorageCostUsesPeakAndReplication) {
   config.replication = 3;
   config.storage_price_gb_month = 0.10;
   Dfs dfs(config);
-  dfs.set_model_latency(false);
   ASSERT_TRUE(dfs.Put("x", BytesObject(512 * 1024 * 1024)).ok());  // 0.5 GB
   EXPECT_NEAR(dfs.MonthlyStorageCost(), 0.5 * 3 * 0.10, 1e-9);
 }

@@ -20,9 +20,6 @@ FlintOptions FastOptions(SelectionPolicyKind policy) {
   options.seed = 77;
   options.time.seconds_per_model_hour = 0.05;  // fast lifecycle events
   options.engine.model_latency = false;
-  options.engine.block_defaults.model_latency = false;
-  options.dfs.write_bandwidth_bytes_per_s = 0.0;  // disable modelled sleeps
-  options.dfs.read_bandwidth_bytes_per_s = 0.0;
   options.nodes.cluster_size = 6;
   options.nodes.policy = policy;
   options.checkpoint.policy = CheckpointPolicyKind::kFlint;

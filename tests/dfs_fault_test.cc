@@ -106,7 +106,6 @@ TEST(DfsFaultCrc32Test, MatchesKnownVectorAndDetectsChange) {
 TEST(DfsFaultInjectorTest, FailsTheNextNWritesMatchingPrefix) {
   ClusterManager cluster{TimeConfig{}};
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);
   FaultPlan plan;
   plan.events.push_back(FailWritesAt(EnginePoint::kDfsPut, /*after_hits=*/0, "ckpt/", 2));
   FaultInjector injector(&cluster, plan, &dfs);
@@ -126,7 +125,6 @@ TEST(DfsFaultInjectorTest, FailsTheNextNWritesMatchingPrefix) {
 TEST(DfsFaultInjectorTest, FailsReadsByPrefixWithoutTouchingWrites) {
   ClusterManager cluster{TimeConfig{}};
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);
   ASSERT_TRUE(dfs.Put("ckpt/a", BytesObject(8)).ok());
   FaultPlan plan;
   plan.events.push_back(FailReadsAt(EnginePoint::kDfsGet, /*after_hits=*/0, "ckpt/", 1));
@@ -141,7 +139,6 @@ TEST(DfsFaultInjectorTest, FailsReadsByPrefixWithoutTouchingWrites) {
 TEST(DfsFaultInjectorTest, OutageWindowFailsMatchingOpsUntilItExpires) {
   ClusterManager cluster{TimeConfig{}};
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);
   ASSERT_TRUE(dfs.Put("ckpt/existing", BytesObject(8)).ok());
   FaultPlan plan;
   plan.events.push_back(DfsOutageAt(EnginePoint::kDfsPut, /*after_hits=*/1, "ckpt/",
@@ -162,7 +159,6 @@ TEST(DfsFaultInjectorTest, OutageWindowFailsMatchingOpsUntilItExpires) {
 TEST(DfsFaultInjectorTest, SlowWindowMultipliesTransferTimeWithoutFailing) {
   ClusterManager cluster{TimeConfig{}};
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);  // value-based: assert the verdict, not the wall clock
   FaultPlan plan;
   plan.events.push_back(DfsSlowAt(EnginePoint::kDfsPut, /*after_hits=*/0, "",
                                   /*duration_seconds=*/30.0, /*slow_factor=*/4.0));
@@ -179,7 +175,6 @@ TEST(DfsFaultInjectorTest, SlowWindowMultipliesTransferTimeWithoutFailing) {
 TEST(DfsFaultRetryTest, PutRetriesTransientFailuresUntilSuccess) {
   ClusterManager cluster{TimeConfig{}};
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);
   FaultPlan plan;
   plan.events.push_back(FailWritesAt(EnginePoint::kDfsPut, /*after_hits=*/0, "", 2));
   FaultInjector injector(&cluster, plan, &dfs);
@@ -196,7 +191,6 @@ TEST(DfsFaultRetryTest, PutRetriesTransientFailuresUntilSuccess) {
 TEST(DfsFaultRetryTest, PutSurfacesUnavailableAfterExhaustedAttempts) {
   ClusterManager cluster{TimeConfig{}};
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);
   FaultPlan plan;
   plan.events.push_back(FailWritesAt(EnginePoint::kDfsPut, /*after_hits=*/0, "", 100));
   FaultInjector injector(&cluster, plan, &dfs);
@@ -213,7 +207,6 @@ TEST(DfsFaultRetryTest, PutSurfacesUnavailableAfterExhaustedAttempts) {
 
 TEST(DfsFaultRetryTest, GetDoesNotRetryNotFound) {
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);
   DfsRetryStats stats;
   auto r = GetWithRetry(dfs, "ckpt/missing", DfsRetryPolicy{}, &stats);
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
@@ -224,7 +217,6 @@ TEST(DfsFaultRetryTest, GetDoesNotRetryNotFound) {
 
 TEST(DfsFaultManifestTest, MissingManifestReadsAsNotFoundAndCorruptAsDataLoss) {
   Dfs dfs{DfsConfig{}};
-  dfs.set_model_latency(false);
   // Torn checkpoint: partition objects present, manifest never written.
   ASSERT_TRUE(dfs.Put("ckpt/rdd_7/part_0", BytesObject(8)).ok());
   auto torn = ReadManifest(dfs, ManifestPathFor("ckpt/rdd_7/"), DfsRetryPolicy{});

@@ -261,7 +261,6 @@ TEST(LocalityPlacementTest, RemoteCacheReadsAreCountedAndExported) {
   const EngineCounters& counters = h.ctx().counters();
   EXPECT_EQ(counters.remote_cache_reads.load(), 8u);
   EXPECT_GE(counters.remote_cache_read_bytes.load(), data.size() * sizeof(int));
-  EXPECT_GT(counters.remote_cache_wait_nanos.load(), int64_t{0});
   EXPECT_EQ(counters.tasks_placed_local.load(), 0u);
 
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
@@ -275,6 +274,8 @@ TEST(LocalityPlacementTest, RemoteCacheReadsAreCountedAndExported) {
   }
   EXPECT_EQ(snap.Value("flint_engine_remote_cache_reads"), 8.0);
   EXPECT_GT(snap.Value("flint_engine_remote_cache_wait_seconds"), 0.0);
+  EXPECT_EQ(snap.Value("flint_engine_remote_cache_wait_seconds"),
+            h.ctx().latency().Seconds(Layer::kCacheRemote));
 }
 
 TEST(LocalityPlacementTest, CacheOnHalfTheNodesDoesNotPileUp) {

@@ -108,7 +108,6 @@ TEST_P(BlockManagerProperty, MemoryNeverExceedsBudgetAndGetsAreConsistent) {
   BlockManagerConfig config;
   config.memory_budget_bytes = 64 * kKiB;
   config.eviction = GetParam() % 2 == 0 ? EvictionMode::kDrop : EvictionMode::kSpill;
-  config.model_latency = false;
   BlockManager bm(config);
   Rng rng(GetParam());
   std::map<int, uint64_t> sizes;  // partition -> record count written
@@ -143,7 +142,6 @@ TEST(BlockManagerShardTest, EvictionAccountingIsExactAcrossShardCounts) {
     BlockManagerConfig config;
     config.memory_budget_bytes = 64 * kKiB;
     config.eviction = EvictionMode::kDrop;
-    config.model_latency = false;
     config.num_shards = shards;
     BlockManager bm(config);
     ASSERT_EQ(bm.num_shards(), static_cast<size_t>(shards));
@@ -171,7 +169,6 @@ TEST(BlockManagerShardTest, SpilledBlocksStayReachableAcrossShards) {
   BlockManagerConfig config;
   config.memory_budget_bytes = 16 * kKiB;
   config.eviction = EvictionMode::kSpill;
-  config.model_latency = false;
   config.num_shards = 4;
   BlockManager bm(config);
   for (int p = 0; p < 32; ++p) {

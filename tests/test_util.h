@@ -27,11 +27,10 @@ struct EngineHarnessOptions {
   // Narrow-chain operator fusion; differential tests and the unfused
   // benchmark baselines switch it off.
   bool operator_fusion = true;
-  // Wide-stage pipelining: fused map-side bucketing and merge-based reduce
-  // (see EngineConfig). Differential tests toggle these to prove the fused
-  // and hash paths bit-identical.
+  // Wide-stage pipelining: fused map-side bucketing (see EngineConfig).
+  // Differential tests toggle it to prove the fused and unfused paths
+  // bit-identical.
   bool shuffle_fusion = true;
-  bool shuffle_merge_reduce = true;
   // Lock shards per node's BlockManager (see BlockManagerConfig::num_shards).
   int block_shards = 8;
   // Fast time scale so warnings/acquisitions take milliseconds in tests.
@@ -62,13 +61,10 @@ class EngineHarness {
     cluster_ = std::make_unique<ClusterManager>(tc);
     DfsConfig dfs_config;
     dfs_ = std::make_unique<Dfs>(dfs_config);
-    dfs_->set_model_latency(options.model_latency);
     EngineConfig engine;
     engine.model_latency = options.model_latency;
     engine.operator_fusion = options.operator_fusion;
     engine.shuffle_fusion = options.shuffle_fusion;
-    engine.shuffle_merge_reduce = options.shuffle_merge_reduce;
-    engine.block_defaults.model_latency = options.model_latency;
     engine.block_defaults.eviction = options.eviction;
     engine.block_defaults.num_shards = options.block_shards;
     engine.checkpoint_retry = options.checkpoint_retry;
