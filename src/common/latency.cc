@@ -38,6 +38,14 @@ Status WaitSeconds(double seconds, const CancelCheck& cancelled, double* waited)
 
 double ThreadWaitedSeconds() { return t_waited_seconds; }
 
+double BackoffSeconds(int step, double initial, double cap, double multiplier) {
+  double seconds = initial;
+  for (int i = 0; i < step; ++i) {
+    seconds = std::min(seconds * multiplier, cap);
+  }
+  return seconds;
+}
+
 double LatencyModel::TransferSeconds(uint64_t bytes, double bytes_per_s,
                                      double slow_factor) const {
   return enabled_ && bytes_per_s > 0.0 ? slow_factor * static_cast<double>(bytes) / bytes_per_s

@@ -44,6 +44,10 @@ Status WaitSeconds(double seconds, const CancelCheck& cancelled = nullptr,
                    double* waited = nullptr);
 double ThreadWaitedSeconds();
 
+// Exponential backoff before retry `step` (0 = the first retry): `initial`,
+// then times `multiplier` and clamped to `cap` once per step.
+double BackoffSeconds(int step, double initial, double cap, double multiplier = 2.0);
+
 class LatencyModel {
  public:
   explicit LatencyModel(bool enabled) : enabled_(enabled) {}

@@ -11,33 +11,9 @@
 namespace flint {
 
 NodeHealthLedger& NodeHealthLedger::Global() {
+  // flint-lint: allow(proc-global) read-only shell that perfbench/flint_e2e.cc still calls
   static NodeHealthLedger* ledger = new NodeHealthLedger();
   return *ledger;
-}
-
-void NodeHealthLedger::Record(NodeId node, const NodeHealth& health) {
-  MutexLock lock(&mutex_);
-  health_[node] = health;
-}
-
-bool NodeHealthLedger::Lookup(NodeId node, NodeHealth* out) const {
-  ReaderMutexLock lock(&mutex_);
-  auto it = health_.find(node);
-  if (it == health_.end()) {
-    return false;
-  }
-  *out = it->second;
-  return true;
-}
-
-void NodeHealthLedger::Forget(NodeId node) {
-  MutexLock lock(&mutex_);
-  health_.erase(node);
-}
-
-void NodeHealthLedger::Reset() {
-  MutexLock lock(&mutex_);
-  health_.clear();
 }
 
 NodeManager::NodeManager(FlintContext* ctx, Marketplace* marketplace, FaultToleranceManager* ft,
@@ -297,14 +273,8 @@ void NodeManager::OnNodeRevoked(const NodeInfo& node) {
     // Revocation without a warning (e.g. scripted hard kill): the warning
     // path never requested a replacement, so do it now.
     need_replacement = warned_.insert(node.node_id).second;
-    // The node is gone but its record isn't: park the final health in the
-    // process-wide ledger so a re-acquired id inherits its history instead
-    // of starting back at a perfect score.
-    auto hit = health_.find(node.node_id);
-    if (hit != health_.end()) {
-      NodeHealthLedger::Global().Record(node.node_id, hit->second);
-      health_.erase(hit);
-    }
+    // Its health goes with it: the cluster never reuses a node id.
+    health_.erase(node.node_id);
   }
   if (need_replacement) {
     ProvisionReplacement(node.market);
@@ -323,20 +293,20 @@ void NodeManager::OnNodeAdded(const NodeInfo& node) {
   PruneRevokedLocked(Now());
 }
 
-void NodeManager::OnTaskAttemptFinished(NodeId node, double seconds, bool success) {
+void NodeManager::OnTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
+                                        bool success) {
   if (!config_.health.enabled) {
     return;
   }
   double sample = 0.0;
   if (success) {
-    MutexLock lock(&mutex_);
-    // Relative-runtime sample: a node matching the cluster mean scores ~1, a
-    // node k times slower scores ~1/k. The first sample (no mean yet) and
-    // instantaneous runtimes count as healthy.
-    sample = (seconds <= 0.0 || runtime_stats_.count() == 0)
-                 ? 1.0
-                 : std::clamp(runtime_stats_.mean() / seconds, 0.0, 1.0);
-    runtime_stats_.Add(seconds);
+    // Relative-runtime sample: a node matching its stage's P50 scores ~1, a
+    // node k times slower scores ~1/k. With no reference yet (the stage is
+    // below quorum) the success says nothing and is not scored.
+    if (stage_p50_seconds <= 0.0) {
+      return;
+    }
+    sample = seconds > 0.0 ? std::clamp(stage_p50_seconds / seconds, 0.0, 1.0) : 1.0;
   }
   AddHealthSample(node, sample);
 }
@@ -383,23 +353,13 @@ void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) 
   }
 }
 
-NodeHealth& NodeManager::HealthLocked(NodeId node) {
-  auto [it, inserted] = health_.try_emplace(node);
-  if (inserted) {
-    // First touch in this manager's lifetime: inherit whatever a previous
-    // life (earlier manager, earlier lease of the same id) recorded.
-    NodeHealthLedger::Global().Lookup(node, &it->second);
-  }
-  return it->second;
-}
-
 void NodeManager::AddHealthSample(NodeId node, double sample) {
   const NodeHealthConfig& hc = config_.health;
   bool want_quarantine = false;
   double score = 1.0;
   {
     MutexLock lock(&mutex_);
-    NodeHealth& h = HealthLocked(node);
+    NodeHealth& h = health_[node];
     h.score = (1.0 - hc.ewma_alpha) * h.score + hc.ewma_alpha * sample;
     ++h.samples;
     score = h.score;
@@ -407,7 +367,6 @@ void NodeManager::AddHealthSample(NodeId node, double sample) {
       h.quarantined = true;  // tentative until the context accepts it
       want_quarantine = true;
     }
-    NodeHealthLedger::Global().Record(node, h);
   }
   // Publish every sample so PickNode's weighting tracks degradation long
   // before (and after) the quarantine threshold.
@@ -438,7 +397,6 @@ void NodeManager::ApplyQuarantine(NodeId node, double score) {
       it->second.quarantined = false;
       it->second.score = std::max(it->second.score, config_.health.quarantine_threshold);
       lifted = it->second.score;
-      NodeHealthLedger::Global().Record(node, it->second);
     }
   }
   ctx_->SetNodeHealthScore(node, lifted);
@@ -463,7 +421,6 @@ void NodeManager::DecayHealth(NodeId node) {
       h.samples = 0;
       recovered = true;
     }
-    NodeHealthLedger::Global().Record(node, h);
   }
   ctx_->SetNodeHealthScore(node, score);
   if (recovered) {
@@ -480,29 +437,15 @@ void NodeManager::DecayHealth(NodeId node) {
 }
 
 double NodeManager::HealthScore(NodeId node) const {
-  {
-    ReaderMutexLock lock(&mutex_);
-    auto it = health_.find(node);
-    if (it != health_.end()) {
-      return it->second.score;
-    }
-  }
-  // Not yet touched in this manager's lifetime: report the ledger's view so
-  // a re-acquired flaky node reads as suspect before its first new sample.
-  NodeHealth prior;
-  return NodeHealthLedger::Global().Lookup(node, &prior) ? prior.score : 1.0;
+  ReaderMutexLock lock(&mutex_);
+  auto it = health_.find(node);
+  return it != health_.end() ? it->second.score : 1.0;
 }
 
 bool NodeManager::Quarantined(NodeId node) const {
-  {
-    ReaderMutexLock lock(&mutex_);
-    auto it = health_.find(node);
-    if (it != health_.end()) {
-      return it->second.quarantined;
-    }
-  }
-  NodeHealth prior;
-  return NodeHealthLedger::Global().Lookup(node, &prior) && prior.quarantined;
+  ReaderMutexLock lock(&mutex_);
+  auto it = health_.find(node);
+  return it != health_.end() && it->second.quarantined;
 }
 
 double NodeManager::TotalCost() const {

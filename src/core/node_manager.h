@@ -21,7 +21,6 @@
 #include "src/checkpoint/ft_manager.h"
 #include "src/cluster/timer_queue.h"
 #include "src/common/mutex.h"
-#include "src/common/stats.h"
 #include "src/common/thread_annotations.h"
 #include "src/engine/context.h"
 #include "src/engine/observer.h"
@@ -32,11 +31,12 @@ namespace flint {
 
 // Node-health scoring (DESIGN.md "Straggler mitigation"). Every finished
 // task attempt updates an EWMA health score per node: a success contributes
-// its runtime relative to the cluster mean (a node 8x slower than its peers
-// scores ~0.125), a failure or deadline miss contributes 0. Nodes whose
-// score sinks below quarantine_threshold (after min_samples) are excluded
-// from scheduling — a reversible drain — and recover by timer-driven decay
-// back toward 1.0, rejoining once the score passes recover_threshold.
+// its runtime relative to its own stage's P50 (a node 8x slower than its
+// peers scores ~0.125; a success before the stage has a P50 is not scored),
+// a failure or deadline miss contributes 0. Nodes whose score sinks below
+// quarantine_threshold (after min_samples) are excluded from scheduling — a
+// reversible drain — and recover by timer-driven decay back toward 1.0,
+// rejoining once the score passes recover_threshold.
 struct NodeHealthConfig {
   bool enabled = true;
   double ewma_alpha = 0.3;            // weight of the newest sample
@@ -54,26 +54,20 @@ struct NodeHealth {
   bool quarantined = false;
 };
 
-// Process-wide health ledger keyed by node id. Health history must outlive
-// any one NodeManager: a transient node whose link or CPU proved sick stays
-// suspect when a later manager (or a later job in the same process)
-// re-acquires the same node id, instead of starting back at a perfect score
-// and burning another min_samples' worth of slow tasks to rediscover it.
+// Empty shell of the former process-wide health ledger. Health belongs to
+// each cluster's NodeManager; nothing records here, so Lookup always misses.
+// It is kept only because perfbench/flint_e2e.cc still resets and probes it
+// before every cluster, and is deleted with the next benchmark change
+// (ROADMAP item 2). Nothing else may call it.
 class NodeHealthLedger {
  public:
   static NodeHealthLedger& Global();
-
-  // Records `node`'s current health (write-through from NodeManager).
-  void Record(NodeId node, const NodeHealth& health);
-  // Copies the recorded health for `node` into `out`; false if never seen.
-  bool Lookup(NodeId node, NodeHealth* out) const;
-  // Drops one node's history / all history (test isolation).
-  void Forget(NodeId node);
-  void Reset();
-
- private:
-  mutable Mutex mutex_{"NodeHealthLedger::mutex_"};
-  std::unordered_map<NodeId, NodeHealth> health_ GUARDED_BY(mutex_);
+  void Reset() {}
+  bool Lookup(NodeId node, NodeHealth* out) const {
+    (void)node;
+    (void)out;
+    return false;
+  }
 };
 
 struct NodeManagerConfig {
@@ -132,7 +126,8 @@ class NodeManager : public EngineObserver {
   void OnNodeWarning(const NodeInfo& node) override;
   void OnNodeRevoked(const NodeInfo& node) override;
   void OnNodeAdded(const NodeInfo& node) override;
-  void OnTaskAttemptFinished(NodeId node, double seconds, bool success) override;
+  void OnTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
+                             bool success) override;
   void OnTaskDeadlineMiss(NodeId node) override;
   void OnLinkSample(NodeId node, double throughput_ratio, bool slow) override;
 
@@ -157,9 +152,6 @@ class NodeManager : public EngineObserver {
   // Folds one health sample (1.0 = healthy, 0.0 = failure/miss) into the
   // node's EWMA and quarantines it when the score sinks below threshold.
   void AddHealthSample(NodeId node, double sample);
-  // This manager's view of `node`'s health, seeded from the process-wide
-  // ledger on first touch so prior-life history carries over.
-  NodeHealth& HealthLocked(NodeId node) REQUIRES(mutex_);
   // Actually excludes `node` from scheduling (outside mutex_: the context's
   // node lock orders after ours) and arms the recovery decay timer. Rolls
   // the mark back if the context refuses (last schedulable node).
@@ -188,10 +180,9 @@ class NodeManager : public EngineObserver {
   // Pending replacement node -> the market whose revocation it restores.
   std::unordered_map<NodeId, MarketId> replacement_for_ GUARDED_BY(mutex_);
   double closed_cost_ GUARDED_BY(mutex_) = 0.0;
-  // Per-node health scores plus the cluster-wide successful-runtime mean the
-  // relative-runtime samples are measured against.
+  // Per-node health of this cluster's live nodes; a revoked node's record
+  // goes with it.
   std::unordered_map<NodeId, NodeHealth> health_ GUARDED_BY(mutex_);
-  RunningStats runtime_stats_ GUARDED_BY(mutex_);
 
   // Lease-lifecycle accounting, exported as flint_node_* metrics.
   std::atomic<uint64_t> acquisitions_{0};       // leases acquired (initial + replacement)

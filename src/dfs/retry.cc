@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <functional>
-#include <thread>
 
+#include "src/common/latency.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
@@ -23,7 +23,6 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
   Rng jitter(std::hash<std::string>{}(path) ^ policy.jitter_seed);
   const auto t0 = WallClock::now();
   const int max_attempts = std::max(1, policy.max_attempts);
-  double backoff = policy.initial_backoff_seconds;
   Status last = Status::Ok();
   int attempts = 0;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
@@ -35,7 +34,8 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
     if (attempt + 1 >= max_attempts) {
       break;
     }
-    double sleep_s = backoff;
+    double sleep_s = BackoffSeconds(attempt, policy.initial_backoff_seconds,
+                                    policy.max_backoff_seconds, policy.backoff_multiplier);
     if (policy.jitter_fraction > 0.0) {
       sleep_s *= jitter.Uniform(1.0 - policy.jitter_fraction, 1.0 + policy.jitter_fraction);
     }
@@ -52,9 +52,7 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
                                       {"backoff_s", sleep_s}},
                                      std::string(kind) + " " + path);
     }
-    // flint-lint: allow(lat-raw-sleep) backoff, folded by ROADMAP item 4
-    std::this_thread::sleep_for(WallDuration(sleep_s));
-    backoff = std::min(backoff * policy.backoff_multiplier, policy.max_backoff_seconds);
+    (void)WaitSeconds(sleep_s);  // no cancel check: always completes OK
   }
   if (!last.ok() && Retryable(last)) {
     // Budget exhausted on a transient error: the caller will abandon the op.

@@ -84,19 +84,19 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
         AppendCounter(out, "flint_engine_tasks_cancelled", c.tasks_cancelled.load());
         AppendCounter(out, "flint_engine_stage_watchdog_timeouts",
                       c.stage_watchdog_timeouts.load());
-        AppendGauge(out, "flint_engine_compute_seconds",
-                    static_cast<double>(c.compute_nanos.load()) * 1e-9);
-        AppendGauge(out, "flint_engine_acquisition_wait_seconds",
-                    static_cast<double>(c.acquisition_wait_nanos.load()) * 1e-9);
-        AppendGauge(out, "flint_engine_task_queue_wait_seconds",
-                    static_cast<double>(c.task_queue_wait_nanos.load()) * 1e-9);
+        AppendCounter(out, "flint_engine_compute_seconds",
+                      static_cast<double>(c.compute_nanos.load()) * 1e-9);
+        AppendCounter(out, "flint_engine_acquisition_wait_seconds",
+                      static_cast<double>(c.acquisition_wait_nanos.load()) * 1e-9);
+        AppendCounter(out, "flint_engine_task_queue_wait_seconds",
+                      static_cast<double>(c.task_queue_wait_nanos.load()) * 1e-9);
         AppendCounter(out, "flint_net_fetches", c.net_fetches.load());
         AppendCounter(out, "flint_net_fetch_bytes", c.net_fetch_bytes.load());
         AppendCounter(out, "flint_net_fetches_slow", c.net_fetches_slow.load());
         AppendCounter(out, "flint_net_fetch_retries", c.net_fetch_retries.load());
         AppendCounter(out, "flint_net_fetch_recomputes", c.net_fetch_recomputes.load());
-        AppendGauge(out, "flint_net_fetch_wait_seconds",
-                    static_cast<double>(c.net_fetch_wait_nanos.load()) * 1e-9);
+        AppendCounter(out, "flint_net_fetch_wait_seconds",
+                      static_cast<double>(c.net_fetch_wait_nanos.load()) * 1e-9);
         AppendCounter(out, "flint_engine_tasks_placed_local", c.tasks_placed_local.load());
         AppendCounter(out, "flint_engine_remote_cache_reads", c.remote_cache_reads.load());
         AppendCounter(out, "flint_engine_remote_cache_read_bytes",
@@ -515,19 +515,25 @@ bool FlintContext::HasSchedulableNodeLocked() const {
   return false;
 }
 
-void FlintContext::WaitForLiveNode() {
+Status FlintContext::WaitForLiveNode(WallTime deadline) {
   const auto t0 = WallClock::now();
+  bool timed_out = false;
   {
     MutexLock lock(&nodes_mutex_);
     // A node that is merely draining (revocation warning) cannot take new
     // tasks, so waiting on it would spin; require a schedulable node.
-    while (!HasSchedulableNodeLocked()) {
-      node_added_cv_.Wait(nodes_mutex_);
+    while (!timed_out && !HasSchedulableNodeLocked()) {
+      if (deadline == WallTime::max()) {  // watchdog off: no deadline
+        node_added_cv_.Wait(nodes_mutex_);
+      } else if (node_added_cv_.WaitUntil(nodes_mutex_, deadline) == std::cv_status::timeout) {
+        timed_out = !HasSchedulableNodeLocked();
+      }
     }
   }
   counters_.acquisition_wait_nanos.fetch_add(
       std::chrono::duration_cast<std::chrono::nanoseconds>(WallClock::now() - t0).count(),
       std::memory_order_relaxed);
+  return timed_out ? DeadlineExceeded("no schedulable node") : Status::Ok();
 }
 
 // --- checkpoint plumbing ---
@@ -777,9 +783,10 @@ void FlintContext::NotifyPartitionComputed(const RddPtr& rdd, int partition, dou
   }
 }
 
-void FlintContext::NotifyTaskAttemptFinished(NodeId node, double seconds, bool success) {
+void FlintContext::NotifyTaskAttemptFinished(NodeId node, double seconds,
+                                             double stage_p50_seconds, bool success) {
   for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnTaskAttemptFinished(node, seconds, success);
+    obs->OnTaskAttemptFinished(node, seconds, stage_p50_seconds, success);
   }
 }
 

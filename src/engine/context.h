@@ -293,9 +293,9 @@ class FlintContext : public ClusterListener {
   // Folds one observed fetch throughput sample (bytes/s) into `node`'s
   // link_throughput_ewma with EngineConfig::link_ewma_alpha.
   void RecordLinkThroughput(NodeId node, double bytes_per_s);
-  // Blocks until at least one live node accepts new tasks; accumulates
-  // acquisition wait.
-  void WaitForLiveNode();
+  // Blocks until at least one live node accepts new tasks or `deadline`
+  // passes (kDeadlineExceeded); accumulates acquisition wait.
+  Status WaitForLiveNode(WallTime deadline);
   // Blocks until every executor pool (live and retired) is idle. Observers
   // must call this before unregistering so no in-flight task can reach them.
   void DrainExecutors();
@@ -340,7 +340,8 @@ class FlintContext : public ClusterListener {
   // --- event plumbing (called from TaskContext / scheduler) ---
   void NotifyPartitionComputed(const RddPtr& rdd, int partition, double seconds);
   // Straggler telemetry fan-out to observers (node-health scorer).
-  void NotifyTaskAttemptFinished(NodeId node, double seconds, bool success);
+  void NotifyTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
+                                 bool success);
   void NotifyTaskDeadlineMiss(NodeId node);
   // Link telemetry fan-out: a shuffle pull over `node`'s link was classified
   // (ratio = observed bytes/s over modelled capacity, clamped to [0, 1];

@@ -7,10 +7,10 @@
 #include <numeric>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/common/latency.h"
 #include "src/common/log.h"
 #include "src/common/mutex.h"
 #include "src/common/stats.h"
@@ -65,11 +65,9 @@ namespace {
 
 // Backoff for progress-free rounds (tasks racing a revocation wave): keeps
 // the stage loop off the CPU without adding meaningful latency to the first
-// few retries.
-WallDuration StallBackoff(int stalled_rounds) {
-  const int exponent = std::min(stalled_rounds, 8);  // caps at ~12.8 ms
-  return WallDuration(50e-6 * static_cast<double>(1 << exponent));
-}
+// few retries. Doubles from 50 us and caps at 8 doublings (~12.8 ms).
+constexpr double kStallBackoffSeconds = 50e-6;
+constexpr double kStallBackoffCapSeconds = kStallBackoffSeconds * 256;
 
 WallClock::duration ToClockDuration(double seconds) {
   return std::chrono::duration_cast<WallClock::duration>(WallDuration(seconds));
@@ -287,6 +285,12 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   // P95 rides along for telemetry.
   P2Quantile p50(0.5);
   P2Quantile p95(0.95);
+  // Node health judges an attempt against the live P50 of its own stage (the
+  // estimate that arms deadlines), and not at all before quorum (0): the
+  // carried P50 of a lighter stage would indict every node.
+  auto stage_p50 = [&p50, &spec_cfg] {
+    return static_cast<int>(p50.count()) >= spec_cfg.quorum ? p50.value() : 0.0;
+  };
   // Cross-stage carry-over: until the in-stage estimate reaches quorum,
   // deadlines may arm from the previous stage's P50 (carried_p50_), so short
   // stages — fewer tasks than the quorum — still get straggler protection.
@@ -316,6 +320,18 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         counters.tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
       }
     }
+  };
+
+  // The watchdog's verdict: counted, traced, and named after what the stage
+  // was stuck on.
+  auto watchdog_expired = [&](const std::string& stuck_on, int slot, NodeId node) {
+    counters.stage_watchdog_timeouts.fetch_add(1, std::memory_order_relaxed);
+    Tracer::Global().RecordInstant(
+        "stage_watchdog_timeout", "scheduler",
+        {{"slot", static_cast<double>(slot)}, {"node", static_cast<double>(node)}});
+    cancel_outstanding();
+    return DeadlineExceeded(std::string(spec.what) + " exceeded its watchdog of " +
+                            std::to_string(spec_cfg.stage_watchdog_seconds) + "s; " + stuck_on);
   };
 
   int stalled_rounds = 0;
@@ -394,9 +410,8 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         // Every missing slot is inside its retry backoff window.
         const WallTime now = WallClock::now();
         if (earliest_retry > now) {
-          // flint-lint: allow(lat-raw-sleep) backoff, folded by ROADMAP item 4
-          std::this_thread::sleep_for(
-              std::min(WallDuration(earliest_retry - now), WallDuration(0.05)));
+          // No cancel check: always completes OK.
+          (void)WaitSeconds(std::min(WallDuration(earliest_retry - now).count(), 0.05));
         }
         continue;
       }
@@ -405,7 +420,9 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       // Submit. Park until the node manager supplies a replacement — this is
       // an acquisition wait, not a convergence attempt.
       counters.stage_parks.fetch_add(1, std::memory_order_relaxed);
-      ctx_->WaitForLiveNode();
+      if (!ctx_->WaitForLiveNode(stage_deadline).ok()) {
+        return watchdog_expired("parked with no schedulable node", -1, -1);
+      }
       continue;
     }
 
@@ -431,16 +448,10 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
             oldest_node = attempt.node->info.node_id;
           }
         }
-        counters.stage_watchdog_timeouts.fetch_add(1, std::memory_order_relaxed);
-        Tracer::Global().RecordInstant("stage_watchdog_timeout", "scheduler",
-                                       {{"slot", static_cast<double>(oldest_slot)},
-                                        {"node", static_cast<double>(oldest_node)}});
-        cancel_outstanding();
-        return DeadlineExceeded(
-            std::string(spec.what) + " exceeded its watchdog of " +
-            std::to_string(spec_cfg.stage_watchdog_seconds) +
-            "s; oldest outstanding attempt is task " + std::to_string(oldest_slot) +
-            " on node " + std::to_string(oldest_node));
+        return watchdog_expired("oldest outstanding attempt is task " +
+                                    std::to_string(oldest_slot) + " on node " +
+                                    std::to_string(oldest_node),
+                                oldest_slot, oldest_node);
       }
 
       WallTime wake = watchdog_on ? stage_deadline : now + ToClockDuration(1.0);
@@ -578,7 +589,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
           // Duplicate success: its sibling already won. Computation is
           // deterministic so the results are bit-identical; nothing to
           // reconcile, but the node did finish a task — report it healthy.
-          ctx_->NotifyTaskAttemptFinished(node_id, seconds, true);
+          ctx_->NotifyTaskAttemptFinished(node_id, seconds, stage_p50(), true);
           continue;
         }
         st.done = true;
@@ -589,7 +600,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         if (spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum) {
           ctx_->PublishStageQuantiles(p50.value(), p95.value());
         }
-        ctx_->NotifyTaskAttemptFinished(node_id, seconds, true);
+        ctx_->NotifyTaskAttemptFinished(node_id, seconds, stage_p50(), true);
         if (attempt.speculative) {
           counters.speculative_wins.fetch_add(1, std::memory_order_relaxed);
         }
@@ -624,7 +635,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       }
       // A genuine attempt failure (flaky node, poisoned input, user-code
       // error): penalize the node, charge the slot's budget, back off.
-      ctx_->NotifyTaskAttemptFinished(node_id, seconds, false);
+      ctx_->NotifyTaskAttemptFinished(node_id, seconds, stage_p50(), false);
       ++st.failures;
       if (st.failures >= spec_cfg.max_attempts_per_task) {
         fatal = Status(outcome.status.code(),
@@ -634,8 +645,8 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         continue;
       }
       counters.task_retries.fetch_add(1, std::memory_order_relaxed);
-      const double backoff = spec_cfg.retry_backoff_seconds *
-                             static_cast<double>(1 << std::min(st.failures - 1, 10));
+      const double backoff = BackoffSeconds(st.failures - 1, spec_cfg.retry_backoff_seconds,
+                                            spec_cfg.retry_backoff_seconds * 1024);
       st.next_eligible = WallClock::now() + ToClockDuration(backoff);
       need_redispatch = true;
     }
@@ -655,8 +666,9 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       stalled_rounds = 0;
     } else {
       ++stalled_rounds;
-      // flint-lint: allow(lat-raw-sleep) backoff, folded by ROADMAP item 4
-      std::this_thread::sleep_for(StallBackoff(stalled_rounds));
+      // No cancel check: always completes OK.
+      (void)WaitSeconds(
+          BackoffSeconds(stalled_rounds, kStallBackoffSeconds, kStallBackoffCapSeconds));
     }
   }
 }

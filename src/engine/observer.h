@@ -125,10 +125,13 @@ class EngineObserver {
   // --- straggler telemetry (feeds the node-health scorer) ---
   // One task attempt finished on `node`. `success` is true only for attempts
   // that produced a usable result; cancelled speculative losers and attempts
-  // that died with their node are not reported.
-  virtual void OnTaskAttemptFinished(NodeId node, double seconds, bool success) {
+  // that died with their node are not reported. `stage_p50_seconds` is the
+  // stage's live service-time P50, or 0 until the stage reaches quorum.
+  virtual void OnTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
+                                     bool success) {
     (void)node;
     (void)seconds;
+    (void)stage_p50_seconds;
     (void)success;
   }
   // An attempt on `node` blew through its speculation deadline (the scheduler

@@ -312,8 +312,8 @@ Result<std::vector<PartitionPtr>> TaskContext::FetchShuffle(int shuffle_id, int 
                                       {"reduce_part", static_cast<double>(reduce_part)},
                                       {"attempt", static_cast<double>(attempt)},
                                       {"producer", static_cast<double>(slow_producer)}});
-      const double backoff =
-          cfg.fetch_retry_backoff_seconds * static_cast<double>(1 << std::min(attempt - 1, 10));
+      const double backoff = BackoffSeconds(attempt - 1, cfg.fetch_retry_backoff_seconds,
+                                            cfg.fetch_retry_backoff_seconds * 1024);
       if (!WaitSeconds(backoff, [this] { return Cancelled(); }).ok()) {
         return Unavailable("cancelled during fetch backoff");
       }

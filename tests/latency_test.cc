@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -101,12 +102,60 @@ TEST(LatencyModelTest, EachLayerIsChargedToItsOwnAccount) {
   EXPECT_LT(ThreadWaitedSeconds() - waited0, total + 1.0);
 }
 
+// BackoffSeconds replaced four hand-written formulas; each must keep its
+// exact values, caps included.
+TEST(LatencyModelTest, BackoffMatchesTheFormulasItReplaced) {
+  // The DFS retry loop: multiply, then cap, once per retry (jitter is
+  // applied on top by the caller).
+  auto dfs_loop = [](const DfsRetryPolicy& policy, int step) {
+    double backoff = policy.initial_backoff_seconds;
+    for (int i = 0; i < step; ++i) {
+      backoff = std::min(backoff * policy.backoff_multiplier, policy.max_backoff_seconds);
+    }
+    return backoff;
+  };
+  DfsRetryPolicy odd;
+  odd.initial_backoff_seconds = 0.003;
+  odd.backoff_multiplier = 1.7;
+  odd.max_backoff_seconds = 0.05;
+  DfsRetryPolicy above_cap;  // a first backoff above the cap is not clamped
+  above_cap.initial_backoff_seconds = 0.5;
+  for (const DfsRetryPolicy& policy : {DfsRetryPolicy{}, odd, above_cap}) {
+    for (int step = 0; step < 12; ++step) {
+      EXPECT_EQ(BackoffSeconds(step, policy.initial_backoff_seconds, policy.max_backoff_seconds,
+                               policy.backoff_multiplier),
+                dfs_loop(policy, step))
+          << "initial " << policy.initial_backoff_seconds << " step " << step;
+    }
+  }
+  // The stage loop's stall backoff: 50 us doubled per stalled round, at most
+  // 8 times.
+  for (int rounds = 1; rounds < 14; ++rounds) {
+    EXPECT_EQ(BackoffSeconds(rounds, 50e-6, 50e-6 * 256),
+              50e-6 * static_cast<double>(1 << std::min(rounds, 8)))
+        << "stalled rounds " << rounds;
+  }
+  // The slot retry (per failure) and the fetch retry (per attempt): the base
+  // doubled per prior try, at most 10 times.
+  for (double base : {SpeculationConfig{}.retry_backoff_seconds,
+                      EngineConfig{}.fetch_retry_backoff_seconds, 0.02, 0.0}) {
+    for (int tries = 1; tries < 16; ++tries) {
+      EXPECT_EQ(BackoffSeconds(tries - 1, base, base * 1024),
+                base * static_cast<double>(1 << std::min(tries - 1, 10)))
+          << "base " << base << " tries " << tries;
+    }
+  }
+}
+
 // Origin reads are waits, not compute: with the model on, a Parallelize
-// source pays bytes / origin bandwidth (48 MiB/s by default, ~5 ms per
-// 256 KiB partition) while slicing its rows takes microseconds.
+// source pays bytes / origin bandwidth (2 MiB/s here, ~125 ms per 256 KiB
+// partition) while slicing its rows takes microseconds, and at most tens of
+// milliseconds under a sanitizer. Counting the wait as compute would put
+// compute above the origin account.
 TEST(LatencyAccountsTest, ComputeSecondsExcludeOriginReadWaits) {
   testing::EngineHarnessOptions options;
   options.model_latency = true;
+  options.origin_read_bandwidth_bytes_per_s = 2.0 * kMiB;
   testing::EngineHarness h(options);
   std::vector<int> data(4 * 64 * 1024);
   std::iota(data.begin(), data.end(), 0);

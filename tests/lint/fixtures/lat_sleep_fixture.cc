@@ -1,8 +1,8 @@
 // Latency-model fixture: a raw sleep anywhere in src/ outside
 // src/common/latency.cc is a lat-raw-sleep finding, because it escapes the
 // model_latency switch and the per-layer accounts. Waits through the model
-// are clean, and a reasoned allow() (the backoff loops) is suppressed.
-// Never compiled.
+// and retry backoff through WaitSeconds are clean, and a reasoned allow() is
+// suppressed. Never compiled.
 // flint-lint: pretend-path(src/dfs/lat_sleep_fixture.cc)
 
 namespace flint {
@@ -24,8 +24,12 @@ void ThroughTheModel(LatencyModel& latency, uint64_t bytes, double bandwidth) {
   latency.Transfer(Layer::kDfsWrite, bytes, bandwidth);  // clean
 }
 
-void Backoff(double seconds) {
-  // flint-lint: allow(lat-raw-sleep) backoff, folded into one retry helper later
+void Backoff(int step) {
+  (void)WaitSeconds(BackoffSeconds(step, 0.002, 0.1));  // clean: always completes OK
+}
+
+void Reasoned(double seconds) {
+  // flint-lint: allow(lat-raw-sleep) fixture: a reasoned exception is suppressed
   std::this_thread::sleep_for(WallDuration(seconds));  // suppressed
 }
 

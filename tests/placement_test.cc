@@ -264,9 +264,12 @@ TEST(LocalityPlacementTest, RemoteCacheReadsAreCountedAndExported) {
   EXPECT_EQ(counters.tasks_placed_local.load(), 0u);
 
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  // Cumulative durations are counters, like every other monotonic series.
   for (const char* name :
        {"flint_engine_remote_cache_reads", "flint_engine_remote_cache_read_bytes",
-        "flint_engine_remote_cache_wait_seconds", "flint_engine_tasks_placed_local"}) {
+        "flint_engine_remote_cache_wait_seconds", "flint_engine_tasks_placed_local",
+        "flint_engine_compute_seconds", "flint_engine_acquisition_wait_seconds",
+        "flint_engine_task_queue_wait_seconds", "flint_net_fetch_wait_seconds"}) {
     const auto it = std::find_if(snap.samples.begin(), snap.samples.end(),
                                  [name](const MetricSample& m) { return m.name == name; });
     ASSERT_NE(it, snap.samples.end()) << name;
@@ -380,8 +383,10 @@ TEST(LocalityPlacementTest, UnionRightPartitionsPreferTheirOwnCache) {
 // execution-start stamping these must exclude executor-queue wait.
 class ServiceTimeRecorder : public EngineObserver {
  public:
-  void OnTaskAttemptFinished(NodeId node, double seconds, bool success) override {
+  void OnTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
+                             bool success) override {
     (void)node;
+    (void)stage_p50_seconds;
     if (success) {
       MutexLock lock(&mutex_);
       samples_.push_back(seconds);

@@ -1,10 +1,10 @@
 // Network-plane scenarios (ISSUE 10): scripted kSlowLink injections exercise
 // the per-node bandwidth model, the hardened shuffle-fetch path (per-fetch
-// timeout -> bounded retry -> recompute fallback), link-driven node-health
-// quarantine, and the process-wide health ledger. The acceptance case pins
-// the paper-style bound: with one of eight nodes serving its shuffle output
-// over a 4x-degraded link, job latency stays within 1.6x fault-free and the
-// results match the clean run bit for bit.
+// timeout -> bounded retry -> recompute fallback) and link-driven node-health
+// quarantine. The acceptance case pins the paper-style bound: with one of
+// eight nodes serving its shuffle output over a 4x-degraded link, job
+// latency stays within 1.6x fault-free and the results match the clean run
+// bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -70,14 +70,11 @@ class ProbeGuard {
 };
 
 // Slow-link scenarios double as a lock-order regression net: the fetch path
-// adds link-EWMA updates and health-ledger write-throughs on top of the
+// adds link-EWMA updates and health samples on top of the
 // engine/injector/node-manager locking.
 class SlowLinkTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Node ids restart at 0 per harness, so the process-wide health ledger
-    // would otherwise leak scores from earlier tests into this one.
-    NodeHealthLedger::Global().Reset();
     was_enabled_ = SetMutexDebug(true);
     violations_before_ = GetLockOrderViolations().size();
   }
@@ -433,65 +430,6 @@ TEST_F(SlowLinkTest, SeedDeterminismAcrossFusionGrid) {
     EXPECT_EQ(a.fetches_slowed, b.fetches_slowed) << "fusion=" << fusion;
     EXPECT_GT(a.fetches_slowed, 0u) << "fusion=" << fusion;
   }
-}
-
-// The health ledger must outlive any one NodeManager: a node quarantined for
-// flaking stays suspect after it is revoked and its manager torn down, so a
-// rebuilt manager re-seeing the same node id starts from the parked history
-// instead of a perfect score. Pre-ledger, revocation (and manager teardown)
-// erased the history.
-TEST_F(SlowLinkTest, QuarantinePersistsAcrossNodeManagerRebuilds) {
-  EngineHarness h{EngineHarnessOptions{.speculation = FastSpec(true)}};
-  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
-                     /*on_demand_price=*/1.0, /*seed=*/7);
-  NodeManagerConfig nm_cfg;
-  nm_cfg.health.min_samples = 3;
-  nm_cfg.health.decay_interval_seconds = 0.02;  // see the acceptance test
-  nm_cfg.health.decay_rate = 0.01;
-  const NodeId victim = h.node_ids().front();
-
-  {
-    NodeManager nm_a(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
-    FaultPlan plan;
-    plan.events.push_back(FlakyNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
-                                      /*node_ordinal=*/0, /*probability=*/1.0,
-                                      /*duration_seconds=*/0.25));
-    FaultInjector injector(&h.cluster(), plan);
-    {
-      ProbeGuard guard(&h.ctx(), &injector);
-      std::vector<int> data(16);
-      std::iota(data.begin(), data.end(), 0);
-      auto out = Parallelize(&h.ctx(), data, 16)
-                     .Map([](const int& x) {
-                       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-                       return x + 1;
-                     })
-                     .Collect();
-      ASSERT_TRUE(out.ok()) << out.status().ToString();
-      EXPECT_GT(injector.GetStats().tasks_failed_injected, 0u);
-    }
-    ASSERT_TRUE(nm_a.Quarantined(victim)) << "score " << nm_a.HealthScore(victim);
-
-    // Revocation parks (not erases) the final health in the ledger and ends
-    // the victim's decay chain, so nm_a tears down promptly.
-    h.cluster().Revoke({victim}, /*with_warning=*/false);
-    h.cluster().DrainEvents();
-    NodeHealth parked;
-    ASSERT_TRUE(NodeHealthLedger::Global().Lookup(victim, &parked));
-    EXPECT_TRUE(parked.quarantined);
-    EXPECT_LT(parked.score, nm_cfg.health.quarantine_threshold);
-  }  // nm_a destroyed; only the ledger remembers the victim now
-
-  // A rebuilt manager has no local samples for the victim, but its accessors
-  // fall back to the ledger: the node is still quarantined, still suspect.
-  NodeManager nm_b(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
-  EXPECT_TRUE(nm_b.Quarantined(victim));
-  EXPECT_LT(nm_b.HealthScore(victim), nm_cfg.health.quarantine_threshold);
-
-  // Forgetting the node restores the clean-slate default.
-  NodeHealthLedger::Global().Forget(victim);
-  EXPECT_FALSE(nm_b.Quarantined(victim));
-  EXPECT_EQ(nm_b.HealthScore(victim), 1.0);
 }
 
 // flint_net_fetch_seconds must resolve the engine's real fetch scale. Each

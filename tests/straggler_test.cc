@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "src/engine/typed_rdd_ops.h"
 #include "src/inject/fault_injector.h"
 #include "src/market/marketplace.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 // Sanitizers stretch compute (but not sleeps) unpredictably, which breaks
@@ -68,9 +70,6 @@ class ProbeGuard {
 class StragglerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Node ids restart at 0 per harness, so the process-wide health ledger
-    // would otherwise leak scores from earlier tests into this one.
-    NodeHealthLedger::Global().Reset();
     was_enabled_ = SetMutexDebug(true);
     violations_before_ = GetLockOrderViolations().size();
   }
@@ -289,6 +288,122 @@ TEST_F(StragglerTest, FlakyNodeQuarantinedThenRecovered) {
   }
   EXPECT_TRUE(was_quarantined) << "health scorer never quarantined the flaky node";
   EXPECT_FALSE(nm.Quarantined(victim));
+}
+
+// Health judges a task against its own stage. Light stages followed by a
+// stage of 30x heavier tasks on healthy nodes must quarantine nobody: the
+// heavy stage is not scored until it has its own P50, so the light stages'
+// runtimes never become the yardstick.
+TEST_F(StragglerTest, LightThenHeavyStageQuarantinesNoHealthyNode) {
+  EngineHarness h;
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, NodeManagerConfig{});
+  for (int job = 0; job < 3; ++job) {
+    ASSERT_EQ(SleepyCollect(&h.ctx(), 16, /*task_ms=*/1).size(), 16u);
+  }
+  ASSERT_EQ(SleepyCollect(&h.ctx(), 32, /*task_ms=*/30).size(), 32u);
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines"), 0.0);
+  for (NodeId id : h.node_ids()) {
+    EXPECT_FALSE(nm.Quarantined(id)) << "node " << id << " score " << nm.HealthScore(id);
+  }
+}
+
+// The runtime path alone quarantines a straggler: with speculation off there
+// are no deadline misses, so only its successes, each about 8x its stage's
+// P50, sink node 0's score.
+TEST_F(StragglerTest, SlowNodeQuarantinedByRuntimeWithSpeculationOff) {
+  EngineHarness h{EngineHarnessOptions{.speculation = FastSpec(false)}};
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManagerConfig nm_cfg;
+  // Slow enough that the quarantine outlasts the job, fast enough that the
+  // teardown drain is prompt.
+  nm_cfg.health.decay_interval_seconds = 0.05;
+  NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
+  const NodeId victim = h.node_ids().front();
+  FaultPlan plan;
+  plan.events.push_back(SlowNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
+                                   /*node_ordinal=*/0, /*slow_factor=*/8.0,
+                                   /*duration_seconds=*/30.0));
+  FaultInjector injector(&h.cluster(), plan);
+  ProbeGuard guard(&h.ctx(), &injector);
+
+  Status status;
+  std::vector<int> out = SleepyCollect(&h.ctx(), 48, /*task_ms=*/5, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(out.size(), 48u);
+  EXPECT_GT(injector.GetStats().tasks_slowed, 0u);
+  EXPECT_EQ(h.ctx().counters().task_deadline_misses.load(), 0u);
+  EXPECT_TRUE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
+  for (NodeId id : h.node_ids()) {
+    if (id != victim) {
+      EXPECT_FALSE(nm.Quarantined(id)) << "node " << id << " score " << nm.HealthScore(id);
+    }
+  }
+}
+
+// Health belongs to one cluster. Node ids restart at 0 in every cluster, so
+// a node quarantined (then revoked) in one cluster must not taint node 0 of
+// the next cluster built in the same process.
+TEST_F(StragglerTest, QuarantineDoesNotLeakIntoTheNextCluster) {
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManagerConfig nm_cfg;
+  nm_cfg.health.min_samples = 3;
+  nm_cfg.health.decay_interval_seconds = 0.02;
+  nm_cfg.health.decay_rate = 0.05;
+  NodeId victim = -1;
+  {
+    EngineHarness h{EngineHarnessOptions{.speculation = FastSpec(true)}};
+    NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
+    victim = h.node_ids().front();
+    FaultPlan plan;
+    plan.events.push_back(FlakyNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
+                                      /*node_ordinal=*/0, /*probability=*/1.0,
+                                      /*duration_seconds=*/0.25));
+    FaultInjector injector(&h.cluster(), plan);
+    {
+      ProbeGuard guard(&h.ctx(), &injector);
+      Status status;
+      ASSERT_EQ(SleepyCollect(&h.ctx(), 16, /*task_ms=*/5, &status).size(), 16u)
+          << status.ToString();
+    }
+    ASSERT_TRUE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
+    // The lease ends with the node still quarantined.
+    h.cluster().Revoke({victim}, /*with_warning=*/false);
+    h.cluster().DrainEvents();
+  }
+
+  EngineHarness h;
+  ASSERT_EQ(h.node_ids().front(), victim);
+  NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
+  EXPECT_FALSE(nm.Quarantined(victim));
+  EXPECT_EQ(nm.HealthScore(victim), 1.0);
+  ASSERT_EQ(SleepyCollect(&h.ctx(), 16, /*task_ms=*/1).size(), 16u);
+  EXPECT_FALSE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
+}
+
+// A stage parked with no schedulable node is bounded by the watchdog: every
+// node revoked and none coming back surfaces as kDeadlineExceeded instead of
+// an endless wait for a replacement.
+TEST_F(StragglerTest, ParkWithNoNodeLeftEndsAtTheWatchdog) {
+  SpeculationConfig spec = FastSpec(true);
+  spec.stage_watchdog_seconds = 0.5;
+  EngineHarness h{EngineHarnessOptions{.speculation = spec}};
+  h.cluster().Revoke(h.node_ids(), /*with_warning=*/false);
+  h.cluster().DrainEvents();
+
+  Status status;
+  const double ms = MeasureMs([&] { SleepyCollect(&h.ctx(), 8, /*task_ms=*/1, &status); });
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
+  EXPECT_NE(status.message().find("exceeded its watchdog"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("parked with no schedulable node"), std::string::npos)
+      << status.ToString();
+  EXPECT_GE(h.ctx().counters().stage_parks.load(), 1u);
+  EXPECT_EQ(h.ctx().counters().stage_watchdog_timeouts.load(), 1u);
+  EXPECT_LT(ms, 5000.0);
 }
 
 // Composition: speculation stays correct when a whole-cluster revocation

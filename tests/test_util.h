@@ -49,6 +49,9 @@ struct EngineHarnessOptions {
   double fetch_timeout_min_seconds = -1.0;
   int fetch_retry_limit = -1;
   double fetch_retry_backoff_seconds = -1.0;
+  // Origin-store bandwidth for source partitions (latency tests); negative
+  // keeps the EngineConfig default.
+  double origin_read_bandwidth_bytes_per_s = -1.0;
 };
 
 // Owns a full engine-plane stack. Nodes are added synchronously at
@@ -83,6 +86,9 @@ class EngineHarness {
     }
     if (options.fetch_retry_backoff_seconds >= 0.0) {
       engine.fetch_retry_backoff_seconds = options.fetch_retry_backoff_seconds;
+    }
+    if (options.origin_read_bandwidth_bytes_per_s >= 0.0) {
+      engine.origin_read_bandwidth_bytes_per_s = options.origin_read_bandwidth_bytes_per_s;
     }
     ctx_ = std::make_unique<FlintContext>(cluster_.get(), dfs_.get(), engine);
     for (int i = 0; i < options.num_nodes; ++i) {
