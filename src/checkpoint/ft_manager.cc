@@ -15,41 +15,13 @@ FaultToleranceManager::FaultToleranceManager(FlintContext* ctx, CheckpointConfig
       delta_seconds_(config.initial_delta_seconds),
       last_shuffle_checkpoint_(WallClock::now()) {
   ctx_->AddObserver(this);
-  metrics_collector_ = ScopedCollector(
-      &MetricsRegistry::Global(), [this](std::vector<MetricSample>& out) {
-        Stats stats;
-        double delta = 0.0;
-        double tau = 0.0;
-        double mttf = 0.0;
-        bool degraded = false;
-        {
-          ReaderMutexLock lock(&mutex_);
-          stats = stats_;
-          delta = delta_seconds_;
-          tau = TauSecondsLocked();
-          mttf = mttf_hours_;
-          degraded = degraded_;
-        }
-        auto counter = [&out](const char* name, uint64_t v) {
-          out.push_back({name, MetricType::kCounter, static_cast<double>(v)});
-        };
-        counter("flint_ft_rdds_checkpointed", stats.rdds_checkpointed);
-        counter("flint_ft_partitions_written", stats.partitions_written);
-        counter("flint_ft_bytes_written", stats.bytes_written);
-        counter("flint_ft_gc_deleted_rdds", stats.gc_deleted_rdds);
-        counter("flint_ft_signals_fired", stats.signals_fired);
-        counter("flint_ft_signals_expired", stats.signals_expired);
-        counter("flint_ft_writes_failed", stats.writes_failed);
-        counter("flint_ft_pending_requeued", stats.pending_requeued);
-        counter("flint_ft_pending_expired", stats.pending_expired);
-        counter("flint_ft_signals_suspended", stats.signals_suspended);
-        counter("flint_ft_degraded_entered", stats.degraded_entered);
-        counter("flint_ft_degraded_recovered", stats.degraded_recovered);
-        out.push_back({"flint_ft_delta_seconds", MetricType::kGauge, delta});
-        out.push_back({"flint_ft_tau_seconds", MetricType::kGauge, tau});
-        out.push_back({"flint_ft_mttf_hours", MetricType::kGauge, mttf});
-        out.push_back({"flint_ft_degraded", MetricType::kGauge, degraded ? 1.0 : 0.0});
-      });
+  metrics_.AddGauge("flint_ft_delta_seconds", [this] { return CurrentDeltaSeconds(); });
+  metrics_.AddGauge("flint_ft_tau_seconds", [this] { return CurrentTauSeconds(); });
+  metrics_.AddGauge("flint_ft_mttf_hours", [this] {
+    ReaderMutexLock lock(&mutex_);
+    return mttf_hours_;
+  });
+  metrics_.AddGauge("flint_ft_degraded", [this] { return degraded() ? 1.0 : 0.0; });
 }
 
 FaultToleranceManager::~FaultToleranceManager() {
@@ -162,10 +134,7 @@ void FaultToleranceManager::SignalLoop() {
 
 void FaultToleranceManager::FireCheckpointRound() {
   SweepPendingNow();
-  {
-    MutexLock lock(&mutex_);
-    ++stats_.signals_fired;
-  }
+  signals_fired_.fetch_add(1, std::memory_order_relaxed);
   if (TracingEnabled()) {
     double delta = 0.0;
     double tau = 0.0;
@@ -193,7 +162,7 @@ void FaultToleranceManager::FireCheckpointRound() {
         if (degraded_) {
           degraded_ = false;
           consecutive_write_failures_ = 0;
-          ++stats_.degraded_recovered;
+          degraded_recovered_.fetch_add(1, std::memory_order_relaxed);
           recovered = true;
         }
       }
@@ -201,10 +170,7 @@ void FaultToleranceManager::FireCheckpointRound() {
         FLINT_ILOG() << "DFS probe succeeded: leaving degraded mode, resuming checkpoints";
       }
     } else {
-      {
-        MutexLock lock(&mutex_);
-        ++stats_.signals_suspended;
-      }
+      signals_suspended_.fetch_add(1, std::memory_order_relaxed);
       FLINT_ILOG() << "degraded: checkpoint signal suspended (store still failing probes)";
       return;
     }
@@ -224,7 +190,7 @@ void FaultToleranceManager::FireCheckpointRound() {
       // The previous round's signal was never consumed (no RDD was generated
       // all interval). Count it as expired instead of letting it silently
       // carry over — the re-arm below refreshes the expiry window.
-      ++stats_.signals_expired;
+      signals_expired_.fetch_add(1, std::memory_order_relaxed);
     }
     signal_pending_ = true;
     signal_fired_at_ = WallClock::now();
@@ -383,7 +349,7 @@ void FaultToleranceManager::OnRddCreated(const RddPtr& rdd) {
         // lull, long revocation stall). Marking this unrelated RDD now would
         // double-checkpoint the next interval; drop it and fall through to
         // the regular shuffle-boost policy.
-        ++stats_.signals_expired;
+        signals_expired_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (!mark && config_.policy == CheckpointPolicyKind::kFlint && config_.shuffle_boost &&
@@ -435,13 +401,13 @@ void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition
   bool recovered = false;
   {
     MutexLock lock(&mutex_);
-    stats_.partitions_written += 1;
-    stats_.bytes_written += bytes;
+    partitions_written_.fetch_add(1, std::memory_order_relaxed);
+    bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
     // Any successful write proves the store is taking data again.
     consecutive_write_failures_ = 0;
     if (degraded_) {
       degraded_ = false;
-      ++stats_.degraded_recovered;
+      degraded_recovered_.fetch_add(1, std::memory_order_relaxed);
       recovered = true;
     }
     auto it = pending_.find(rdd->id());
@@ -480,15 +446,13 @@ void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition
     MutexLock lock(&mutex_);
     delta_seconds_ = config_.delta_ewma_alpha * measured +
                      (1.0 - config_.delta_ewma_alpha) * delta_seconds_;
-    stats_.rdds_checkpointed += 1;
+    rdds_checkpointed_.fetch_add(1, std::memory_order_relaxed);
     delta_ewma = delta_seconds_;
     tau = TauSecondsLocked();
   }
   // The metric is always on (checkpoint completion is cold); the trace
   // instant is a no-op unless tracing is enabled.
-  MetricsRegistry::Global()
-      .GetHistogram("flint_ft_delta_sample_seconds", Histogram::DefaultLatencyBounds())
-      ->Observe(measured);
+  delta_samples_.Observe(measured);
   Tracer::Global().RecordInstant("checkpoint", "checkpoint",
                                  {{"rdd", static_cast<double>(completed->id())},
                                   {"delta_sample_s", measured},
@@ -497,9 +461,7 @@ void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition
   completed->SetCheckpointSaved();
   FLINT_ILOG() << "checkpoint saved: rdd " << completed->id() << " (manifest committed)";
   thread_cv_.NotifyAll();  // tau may have changed with delta
-  if (config_.gc_enabled) {
-    GarbageCollectAncestors(completed);
-  }
+  GarbageCollectAncestors(completed);
 }
 
 void FaultToleranceManager::OnCheckpointWriteFailed(const RddPtr& rdd, int partition,
@@ -508,7 +470,7 @@ void FaultToleranceManager::OnCheckpointWriteFailed(const RddPtr& rdd, int parti
   bool entered = false;
   {
     MutexLock lock(&mutex_);
-    ++stats_.writes_failed;
+    writes_failed_.fetch_add(1, std::memory_order_relaxed);
     ++consecutive_write_failures_;
     auto it = pending_.find(rdd->id());
     if (it != pending_.end()) {
@@ -520,7 +482,7 @@ void FaultToleranceManager::OnCheckpointWriteFailed(const RddPtr& rdd, int parti
     if (!degraded_ && config_.degraded_after_failures > 0 &&
         consecutive_write_failures_ >= config_.degraded_after_failures) {
       degraded_ = true;
-      ++stats_.degraded_entered;
+      degraded_entered_.fetch_add(1, std::memory_order_relaxed);
       entered = true;
     }
   }
@@ -549,13 +511,13 @@ void FaultToleranceManager::SweepPendingNow() {
         continue;
       }
       if (p.retries >= config_.pending_max_retries) {
-        ++stats_.pending_expired;
+        pending_expired_.fetch_add(1, std::memory_order_relaxed);
         expired.push_back(p.rdd);
         it = pending_.erase(it);
         continue;
       }
       ++p.retries;
-      ++stats_.pending_requeued;
+      pending_requeued_.fetch_add(1, std::memory_order_relaxed);
       p.last_progress = now;
       requeue.push_back(Requeue{p.rdd, {p.remaining.begin(), p.remaining.end()}});
       ++it;
@@ -617,10 +579,7 @@ void FaultToleranceManager::GarbageCollectAncestors(const RddPtr& rdd) {
       queue.push_back(dep.parent.get());
     }
   }
-  if (deleted > 0) {
-    MutexLock lock(&mutex_);
-    stats_.gc_deleted_rdds += deleted;
-  }
+  gc_deleted_rdds_.fetch_add(deleted, std::memory_order_relaxed);
 }
 
 void FaultToleranceManager::OnNodeWarning(const NodeInfo& node) {
@@ -631,8 +590,23 @@ void FaultToleranceManager::OnNodeWarning(const NodeInfo& node) {
 }
 
 FaultToleranceManager::Stats FaultToleranceManager::GetStats() const {
-  ReaderMutexLock lock(&mutex_);
-  return stats_;
+  auto load = [](const std::atomic<uint64_t>& cell) {
+    return cell.load(std::memory_order_relaxed);
+  };
+  Stats stats;
+  stats.rdds_checkpointed = load(rdds_checkpointed_);
+  stats.partitions_written = load(partitions_written_);
+  stats.bytes_written = load(bytes_written_);
+  stats.gc_deleted_rdds = load(gc_deleted_rdds_);
+  stats.signals_fired = load(signals_fired_);
+  stats.signals_expired = load(signals_expired_);
+  stats.writes_failed = load(writes_failed_);
+  stats.pending_requeued = load(pending_requeued_);
+  stats.pending_expired = load(pending_expired_);
+  stats.signals_suspended = load(signals_suspended_);
+  stats.degraded_entered = load(degraded_entered_);
+  stats.degraded_recovered = load(degraded_recovered_);
+  return stats;
 }
 
 }  // namespace flint

@@ -44,7 +44,6 @@ struct CheckpointConfig {
   // kFixedInterval ablation.
   double fixed_interval_seconds = 2.0;
   bool shuffle_boost = true;
-  bool gc_enabled = true;
   // A fired checkpoint signal is only valid for this fraction of the tau in
   // effect when it fired: if no RDD is generated within that window the
   // signal expires instead of marking some much-later, unrelated RDD.
@@ -191,17 +190,32 @@ class FaultToleranceManager : public EngineObserver {
   int consecutive_write_failures_ GUARDED_BY(mutex_) = 0;
   WallTime last_shuffle_checkpoint_ GUARDED_BY(mutex_);
   uint64_t sys_epoch_ GUARDED_BY(mutex_) = 0;
-  Stats stats_ GUARDED_BY(mutex_);
+
+  // Declared after the state its gauges read (delta, tau, MTTF, degraded).
+  MetricSet metrics_;
+  // The cells GetStats() reads; see Stats for what each counts.
+  std::atomic<uint64_t>& rdds_checkpointed_ = metrics_.AddCounter("flint_ft_rdds_checkpointed");
+  std::atomic<uint64_t>& partitions_written_ =
+      metrics_.AddCounter("flint_ft_partitions_written");
+  std::atomic<uint64_t>& bytes_written_ = metrics_.AddCounter("flint_ft_bytes_written");
+  std::atomic<uint64_t>& gc_deleted_rdds_ = metrics_.AddCounter("flint_ft_gc_deleted_rdds");
+  std::atomic<uint64_t>& signals_fired_ = metrics_.AddCounter("flint_ft_signals_fired");
+  std::atomic<uint64_t>& signals_expired_ = metrics_.AddCounter("flint_ft_signals_expired");
+  std::atomic<uint64_t>& writes_failed_ = metrics_.AddCounter("flint_ft_writes_failed");
+  std::atomic<uint64_t>& pending_requeued_ = metrics_.AddCounter("flint_ft_pending_requeued");
+  std::atomic<uint64_t>& pending_expired_ = metrics_.AddCounter("flint_ft_pending_expired");
+  std::atomic<uint64_t>& signals_suspended_ = metrics_.AddCounter("flint_ft_signals_suspended");
+  std::atomic<uint64_t>& degraded_entered_ = metrics_.AddCounter("flint_ft_degraded_entered");
+  std::atomic<uint64_t>& degraded_recovered_ = metrics_.AddCounter("flint_ft_degraded_recovered");
+  // Each completed round's measured delta sample.
+  Histogram& delta_samples_ = metrics_.AddHistogram("flint_ft_delta_sample_seconds",
+                                                    Histogram::DefaultLatencyBounds());
 
   Mutex thread_mutex_{"FaultToleranceManager::thread_mutex_"};
   CondVar thread_cv_;
   bool running_ GUARDED_BY(thread_mutex_) = false;
   bool stop_requested_ GUARDED_BY(thread_mutex_) = false;
   std::thread signal_thread_;
-
-  // Exports Stats + the live delta/tau/mttf estimates as flint_ft_* metrics.
-  // Declared last so it unhooks before the state it reads is torn down.
-  ScopedCollector metrics_collector_;
 };
 
 }  // namespace flint

@@ -9,6 +9,13 @@ namespace flint {
 
 namespace {
 thread_local double t_waited_seconds = 0.0;
+
+// The last stretch of every wait yields instead of sleeping. A sleep ends
+// late by the kernel's timer slack plus the wake-up latency of an idle CPU,
+// tens of microseconds on an idle host and more on a busy one, while most
+// modelled transfers are shorter than that: sleeping them would stretch
+// each by an amount the host, not the model, decides.
+constexpr double kYieldSeconds = 200e-6;
 }  // namespace
 
 Status WaitSeconds(double seconds, const CancelCheck& cancelled, double* waited) {
@@ -24,7 +31,13 @@ Status WaitSeconds(double seconds, const CancelCheck& cancelled, double* waited)
     }
     // Uncancellable waits sleep once; cancellable ones poll every millisecond.
     const double rest = done - elapsed;
-    std::this_thread::sleep_for(WallDuration(cancelled == nullptr ? rest : std::min(1e-3, rest)));
+    if (rest <= kYieldSeconds) {
+      std::this_thread::yield();
+    } else {
+      const double sleep = rest - kYieldSeconds;
+      std::this_thread::sleep_for(
+          WallDuration(cancelled == nullptr ? sleep : std::min(1e-3, sleep)));
+    }
     elapsed = WallDuration(WallClock::now() - t0).count();
   }
   // The thread total takes the time really slept (oversleep included), so a

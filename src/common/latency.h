@@ -1,6 +1,6 @@
 // One latency model for every modelled wait (DESIGN.md "Latency model"). It
 // turns bytes / bandwidth x slow factor into seconds (0 when the model is off
-// or the bandwidth is unset), sleeps them on the calling thread, and charges
+// or the bandwidth is unset), waits them out on the calling thread, and charges
 // them to one account per Layer. Injected faults wait even when the model is
 // off: they are faults, not modelled I/O.
 
@@ -35,7 +35,9 @@ inline const char* LayerName(Layer layer) { return kLayerNames[static_cast<size_
 // Polled every millisecond during a cancellable wait; true stops it.
 using CancelCheck = std::function<bool()>;
 
-// The one wait: sleeps `seconds`, or until `cancelled` fires (kUnavailable).
+// The one wait: `seconds`, or until `cancelled` fires (kUnavailable). It
+// sleeps all but the last 200 us and yields through those, so a modelled
+// transfer of a few microseconds lasts about that long on any host.
 // *waited gets `seconds`, or the part before cancellation; the time really
 // slept goes to the thread's ThreadWaitedSeconds, so a timed compute window
 // can subtract it. Retry backoff calls it directly; modelled waits go

@@ -25,44 +25,23 @@ NodeManager::NodeManager(FlintContext* ctx, Marketplace* marketplace, FaultToler
       selector_(marketplace, config_.selection),
       engine_start_(WallClock::now()) {
   ctx_->AddObserver(this);
-  metrics_collector_ = ScopedCollector(
-      &MetricsRegistry::Global(), [this](std::vector<MetricSample>& out) {
-        auto counter = [&out](const char* name, uint64_t v) {
-          out.push_back({name, MetricType::kCounter, static_cast<double>(v)});
-        };
-        counter("flint_node_acquisitions", acquisitions_.load(std::memory_order_relaxed));
-        counter("flint_node_on_demand_fallbacks",
-                od_fallbacks_.load(std::memory_order_relaxed));
-        counter("flint_node_replacements", replacements_.load(std::memory_order_relaxed));
-        counter("flint_node_warnings", warnings_seen_.load(std::memory_order_relaxed));
-        counter("flint_node_revocations", revocations_seen_.load(std::memory_order_relaxed));
-        counter("flint_node_quarantines", quarantines_.load(std::memory_order_relaxed));
-        counter("flint_node_unquarantines", unquarantines_.load(std::memory_order_relaxed));
-        bool started = false;
-        {
-          ReaderMutexLock lock(&mutex_);
-          started = started_;
-          if (!health_.empty()) {
-            double min_score = 1.0;
-            int quarantined_now = 0;
-            // min/int-count are order-independent, so hash order is safe here.
-            for (const auto& [id, h] : health_) {
-              min_score = std::min(min_score, h.score);
-              if (h.quarantined) {
-                ++quarantined_now;
-              }
-            }
-            out.push_back({"flint_node_health_min", MetricType::kGauge, min_score});
-            out.push_back({"flint_node_quarantined_now", MetricType::kGauge,
-                           static_cast<double>(quarantined_now)});
-          }
-        }
-        if (started) {
-          out.push_back({"flint_node_total_cost", MetricType::kGauge, TotalCost()});
-          out.push_back({"flint_node_on_demand_equivalent_cost", MetricType::kGauge,
-                         OnDemandEquivalentCost()});
-        }
-      });
+  metrics_.AddGauge("flint_node_health_min", [this] {
+    ReaderMutexLock lock(&mutex_);
+    double min_score = 1.0;
+    // A min is order-independent, so hash order is safe here.
+    for (const auto& [id, h] : health_) {
+      min_score = std::min(min_score, h.score);
+    }
+    return min_score;
+  });
+  metrics_.AddGauge("flint_node_quarantined_now", [this] {
+    ReaderMutexLock lock(&mutex_);
+    return static_cast<double>(std::count_if(health_.begin(), health_.end(),
+                                              [](const auto& e) { return e.second.quarantined; }));
+  });
+  metrics_.AddGauge("flint_node_total_cost", [this] { return TotalCost(); });
+  metrics_.AddGauge("flint_node_on_demand_equivalent_cost",
+                    [this] { return OnDemandEquivalentCost(); });
 }
 
 NodeManager::~NodeManager() {

@@ -184,20 +184,22 @@ class NodeManager : public EngineObserver {
   // goes with it.
   std::unordered_map<NodeId, NodeHealth> health_ GUARDED_BY(mutex_);
 
-  // Lease-lifecycle accounting, exported as flint_node_* metrics.
-  std::atomic<uint64_t> acquisitions_{0};       // leases acquired (initial + replacement)
-  std::atomic<uint64_t> od_fallbacks_{0};       // spot refusals that fell back to on-demand
-  std::atomic<uint64_t> replacements_{0};       // replacement provisions requested
-  std::atomic<uint64_t> warnings_seen_{0};      // revocation warnings observed
-  std::atomic<uint64_t> revocations_seen_{0};   // revocations observed
-  std::atomic<uint64_t> quarantines_{0};        // health quarantines imposed
-  std::atomic<uint64_t> unquarantines_{0};      // health quarantines lifted
+  // Declared after the lease and health state its cost and health gauges
+  // read.
+  MetricSet metrics_;
+  // Lease-lifecycle accounting: leases acquired (initial + replacement), spot
+  // refusals that fell back to on-demand, replacement provisions requested,
+  // revocation warnings and revocations observed, and health quarantines
+  // imposed and lifted.
+  std::atomic<uint64_t>& acquisitions_ = metrics_.AddCounter("flint_node_acquisitions");
+  std::atomic<uint64_t>& od_fallbacks_ = metrics_.AddCounter("flint_node_on_demand_fallbacks");
+  std::atomic<uint64_t>& replacements_ = metrics_.AddCounter("flint_node_replacements");
+  std::atomic<uint64_t>& warnings_seen_ = metrics_.AddCounter("flint_node_warnings");
+  std::atomic<uint64_t>& revocations_seen_ = metrics_.AddCounter("flint_node_revocations");
+  std::atomic<uint64_t>& quarantines_ = metrics_.AddCounter("flint_node_quarantines");
+  std::atomic<uint64_t>& unquarantines_ = metrics_.AddCounter("flint_node_unquarantines");
 
   TimerQueue timers_;
-
-  // Exports the counters above plus cost gauges; declared last so it unhooks
-  // before the state it reads is torn down.
-  ScopedCollector metrics_collector_;
 };
 
 }  // namespace flint

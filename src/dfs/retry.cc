@@ -6,7 +6,6 @@
 #include "src/common/latency.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace flint {
@@ -16,8 +15,7 @@ namespace {
 bool Retryable(const Status& status) { return status.code() == StatusCode::kUnavailable; }
 
 // Shared attempt loop: `op` returns the status of one attempt. `kind` labels
-// telemetry ("put"/"get"); retries are cold, so per-retry registry lookups
-// are fine.
+// the trace ("put"/"get").
 Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy& policy,
                  const std::function<Status()>& op, DfsRetryStats* stats) {
   Rng jitter(std::hash<std::string>{}(path) ^ policy.jitter_seed);
@@ -45,7 +43,6 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
         break;  // the next attempt would land past the deadline
       }
     }
-    MetricsRegistry::Global().GetCounter("flint_dfs_retry_attempts")->Increment();
     if (TracingEnabled()) {
       Tracer::Global().RecordInstant("dfs_retry", "dfs",
                                      {{"attempt", static_cast<double>(attempt + 1)},
@@ -54,12 +51,10 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
     }
     (void)WaitSeconds(sleep_s);  // no cancel check: always completes OK
   }
-  if (!last.ok() && Retryable(last)) {
-    // Budget exhausted on a transient error: the caller will abandon the op.
-    MetricsRegistry::Global().GetCounter("flint_dfs_retry_exhausted")->Increment();
-  }
   if (stats != nullptr) {
     stats->attempts = attempts;
+    // Budget exhausted on a transient error: the caller will abandon the op.
+    stats->exhausted = !last.ok() && Retryable(last);
     stats->elapsed_seconds = WallDuration(WallClock::now() - t0).count();
   }
   return last;

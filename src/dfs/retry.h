@@ -30,8 +30,11 @@ struct DfsRetryPolicy {
   uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
 };
 
+// What one call did. Callers export it: attempts - 1 retries were made, and
+// `exhausted` marks a transient failure that outlasted the budget.
 struct DfsRetryStats {
   int attempts = 0;
+  bool exhausted = false;
   double elapsed_seconds = 0.0;
 };
 

@@ -12,6 +12,10 @@ BlockManager::BlockManager(BlockManagerConfig config, LatencyModel* latency)
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
+  metrics_.AddGauge("flint_block_memory_used_bytes",
+                    [this] { return static_cast<double>(memory_used()); });
+  metrics_.AddGauge("flint_block_spill_used_bytes",
+                    [this] { return static_cast<double>(spill_used()); });
 }
 
 std::vector<BlockEviction> BlockManager::Put(const BlockKey& key, PartitionPtr data,

@@ -26,6 +26,7 @@
 #include "src/common/thread_annotations.h"
 #include "src/common/units.h"
 #include "src/engine/partition.h"
+#include "src/obs/metrics.h"
 
 namespace flint {
 
@@ -102,24 +103,8 @@ class BlockManager {
   size_t num_spill_blocks() const;
   size_t num_shards() const { return shards_.size(); }
 
-  // Lifetime cache-traffic counters, exported as flint_block_* through the
-  // metrics registry (aggregated over nodes by FlintContext's collector).
-  struct CacheCounters {
-    uint64_t hits = 0;       // Get served from memory
-    uint64_t spill_hits = 0; // Get served from local spill
-    uint64_t misses = 0;     // Get found nothing
-    uint64_t evictions = 0;  // blocks pushed out of memory (dropped or spilled)
-    uint64_t spills = 0;     // evictions that went to local disk
-  };
-  CacheCounters GetCacheCounters() const {
-    CacheCounters c;
-    c.hits = hits_.load(std::memory_order_relaxed);
-    c.spill_hits = spill_hits_.load(std::memory_order_relaxed);
-    c.misses = misses_.load(std::memory_order_relaxed);
-    c.evictions = evictions_.load(std::memory_order_relaxed);
-    c.spills = spills_.load(std::memory_order_relaxed);
-    return c;
-  }
+  // This node's flint_block_* series (the registry sums them over nodes).
+  const MetricSet& metrics() const { return metrics_; }
 
  private:
   struct Entry {
@@ -150,11 +135,15 @@ class BlockManager {
   uint64_t shard_budget_bytes_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> spill_hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> spills_{0};
+  // Declared after the shards its memory gauges read.
+  MetricSet metrics_;
+  // Lifetime cache traffic.
+  std::atomic<uint64_t>& hits_ = metrics_.AddCounter("flint_block_hits");  // served from memory
+  std::atomic<uint64_t>& spill_hits_ = metrics_.AddCounter("flint_block_spill_hits");  // from spill
+  std::atomic<uint64_t>& misses_ = metrics_.AddCounter("flint_block_misses");  // found nothing
+  // Blocks pushed out of memory (dropped or spilled), and those that spilled.
+  std::atomic<uint64_t>& evictions_ = metrics_.AddCounter("flint_block_evictions");
+  std::atomic<uint64_t>& spills_ = metrics_.AddCounter("flint_block_spills");
 };
 
 }  // namespace flint

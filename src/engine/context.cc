@@ -16,16 +16,6 @@ namespace flint {
 
 namespace {
 
-// Exports EngineCounters + aggregated BlockManager/ShuffleManager counters
-// into the registry namespace. Runs only at Snapshot() time.
-void AppendCounter(std::vector<MetricSample>& out, const char* name, double v) {
-  out.push_back({name, MetricType::kCounter, v});
-}
-
-void AppendGauge(std::vector<MetricSample>& out, const char* name, double v) {
-  out.push_back({name, MetricType::kGauge, v});
-}
-
 // nodes_ is an unordered map, so any snapshot handed to the scheduler must be
 // re-ordered: PickNode walks these vectors, and placement (hence recompute
 // interleaving) has to replay identically run over run.
@@ -43,117 +33,17 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
   scheduler_ = std::make_unique<DagScheduler>(this);
   dfs_->SetLatencyModel(&latency_);
   cluster_->SetListener(this);
-  metrics_collector_ = ScopedCollector(
-      &MetricsRegistry::Global(), [this](std::vector<MetricSample>& out) {
-        const EngineCounters& c = counters_;
-        AppendCounter(out, "flint_engine_tasks_run", c.tasks_run.load());
-        AppendCounter(out, "flint_engine_task_failures", c.task_failures.load());
-        AppendCounter(out, "flint_engine_partitions_computed", c.partitions_computed.load());
-        AppendCounter(out, "flint_engine_partitions_recomputed",
-                      c.partitions_recomputed.load());
-        AppendCounter(out, "flint_engine_cache_hits", c.cache_hits.load());
-        AppendCounter(out, "flint_engine_cache_misses", c.cache_misses.load());
-        AppendCounter(out, "flint_engine_checkpoint_writes", c.checkpoint_writes.load());
-        AppendCounter(out, "flint_engine_checkpoint_bytes", c.checkpoint_bytes.load());
-        AppendCounter(out, "flint_engine_checkpoint_reads", c.checkpoint_reads.load());
-        AppendCounter(out, "flint_dfs_write_retries", c.write_retries.load());
-        AppendCounter(out, "flint_dfs_writes_abandoned", c.writes_abandoned.load());
-        AppendCounter(out, "flint_engine_restores_fallen_back",
-                      c.restores_fallen_back.load());
-        AppendCounter(out, "flint_engine_checkpoints_quarantined",
-                      c.checkpoints_quarantined.load());
-        AppendCounter(out, "flint_engine_stage_rounds", c.stage_rounds.load());
-        AppendCounter(out, "flint_engine_stage_parks", c.stage_parks.load());
-        AppendCounter(out, "flint_fusion_fused_chains", c.fused_chains.load());
-        AppendCounter(out, "flint_fusion_operators_elided",
-                      c.fused_operators_elided.load());
-        AppendCounter(out, "flint_shuffle_rows_bucketed_fused",
-                      c.shuffle_rows_bucketed_fused.load());
-        AppendCounter(out, "flint_shuffle_rows_bucketed_unfused",
-                      c.shuffle_rows_bucketed_unfused.load());
-        AppendCounter(out, "flint_shuffle_fused_bucket_chains",
-                      c.shuffle_fused_bucket_chains.load());
-        AppendCounter(out, "flint_shuffle_combine_hits", c.shuffle_combine_hits.load());
-        AppendCounter(out, "flint_engine_stage_quantile_seeded",
-                      c.stage_quantile_seeded.load());
-        AppendCounter(out, "flint_engine_tasks_speculated", c.tasks_speculated.load());
-        AppendCounter(out, "flint_engine_speculative_wins", c.speculative_wins.load());
-        AppendCounter(out, "flint_engine_task_deadline_misses",
-                      c.task_deadline_misses.load());
-        AppendCounter(out, "flint_engine_task_retries", c.task_retries.load());
-        AppendCounter(out, "flint_engine_tasks_cancelled", c.tasks_cancelled.load());
-        AppendCounter(out, "flint_engine_stage_watchdog_timeouts",
-                      c.stage_watchdog_timeouts.load());
-        AppendCounter(out, "flint_engine_compute_seconds",
-                      static_cast<double>(c.compute_nanos.load()) * 1e-9);
-        AppendCounter(out, "flint_engine_acquisition_wait_seconds",
-                      static_cast<double>(c.acquisition_wait_nanos.load()) * 1e-9);
-        AppendCounter(out, "flint_engine_task_queue_wait_seconds",
-                      static_cast<double>(c.task_queue_wait_nanos.load()) * 1e-9);
-        AppendCounter(out, "flint_net_fetches", c.net_fetches.load());
-        AppendCounter(out, "flint_net_fetch_bytes", c.net_fetch_bytes.load());
-        AppendCounter(out, "flint_net_fetches_slow", c.net_fetches_slow.load());
-        AppendCounter(out, "flint_net_fetch_retries", c.net_fetch_retries.load());
-        AppendCounter(out, "flint_net_fetch_recomputes", c.net_fetch_recomputes.load());
-        AppendCounter(out, "flint_net_fetch_wait_seconds",
-                      static_cast<double>(c.net_fetch_wait_nanos.load()) * 1e-9);
-        AppendCounter(out, "flint_engine_tasks_placed_local", c.tasks_placed_local.load());
-        AppendCounter(out, "flint_engine_remote_cache_reads", c.remote_cache_reads.load());
-        AppendCounter(out, "flint_engine_remote_cache_read_bytes",
-                      c.remote_cache_read_bytes.load());
-        AppendCounter(out, "flint_engine_remote_cache_wait_seconds",
-                      latency_.Seconds(Layer::kCacheRemote));
-        // flint_engine_latency_<layer>_seconds for the layers without a
-        // named series (remote cache above, shuffle fetch under flint_net_).
-        for (Layer layer : {Layer::kOriginRead, Layer::kSpill, Layer::kDfsWrite,
-                            Layer::kDfsRead, Layer::kInjectedSlow}) {
-          out.push_back({std::string("flint_engine_latency_") + LayerName(layer) + "_seconds",
-                         MetricType::kCounter, latency_.Seconds(layer)});
-        }
-
-        // BlockManager cache traffic, aggregated over live + retired nodes
-        // (a revoked node's history still happened).
-        BlockManager::CacheCounters blocks;
-        uint64_t memory_used = 0;
-        uint64_t spill_used = 0;
-        std::vector<std::shared_ptr<NodeState>> all;
-        {
-          MutexLock lock(&nodes_mutex_);
-          for (const auto& [id, node] : nodes_) {
-            // flint-lint: allow(det-unordered-iter) aggregated into order-independent integer counters
-            all.push_back(node);
-          }
-          for (const auto& node : retired_) {
-            all.push_back(node);
-          }
-        }
-        for (const auto& node : all) {
-          const BlockManager::CacheCounters nc = node->blocks->GetCacheCounters();
-          blocks.hits += nc.hits;
-          blocks.spill_hits += nc.spill_hits;
-          blocks.misses += nc.misses;
-          blocks.evictions += nc.evictions;
-          blocks.spills += nc.spills;
-          memory_used += node->blocks->memory_used();
-          spill_used += node->blocks->spill_used();
-        }
-        AppendCounter(out, "flint_block_hits", blocks.hits);
-        AppendCounter(out, "flint_block_spill_hits", blocks.spill_hits);
-        AppendCounter(out, "flint_block_misses", blocks.misses);
-        AppendCounter(out, "flint_block_evictions", blocks.evictions);
-        AppendCounter(out, "flint_block_spills", blocks.spills);
-        AppendGauge(out, "flint_block_memory_used_bytes",
-                    static_cast<double>(memory_used));
-        AppendGauge(out, "flint_block_spill_used_bytes", static_cast<double>(spill_used));
-
-        AppendCounter(out, "flint_shuffle_fetch_waits", shuffle_mgr_.FetchWaits());
-        AppendCounter(out, "flint_shuffle_map_outputs", shuffle_mgr_.MapOutputsRegistered());
-        AppendCounter(out, "flint_shuffle_registered_bytes", shuffle_mgr_.RegisteredBytes());
-        AppendGauge(out, "flint_shuffle_live_shuffles",
-                    static_cast<double>(shuffle_mgr_.NumShuffles()));
-        AppendGauge(out, "flint_shuffle_total_bytes",
-                    static_cast<double>(shuffle_mgr_.TotalBytes()));
-      });
+  // The latency model's remaining accounts (shuffle fetch is
+  // EngineCounters::net_fetch_wait_nanos).
+  metrics_.AddNanos("flint_engine_remote_cache_wait_seconds",
+                    latency_.Account(Layer::kCacheRemote));
+  metrics_.AddNanos("flint_engine_latency_origin_read_seconds",
+                    latency_.Account(Layer::kOriginRead));
+  metrics_.AddNanos("flint_engine_latency_spill_seconds", latency_.Account(Layer::kSpill));
+  metrics_.AddNanos("flint_engine_latency_dfs_write_seconds", latency_.Account(Layer::kDfsWrite));
+  metrics_.AddNanos("flint_engine_latency_dfs_read_seconds", latency_.Account(Layer::kDfsRead));
+  metrics_.AddNanos("flint_engine_latency_injected_slow_seconds",
+                    latency_.Account(Layer::kInjectedSlow));
 }
 
 FlintContext::~FlintContext() {
@@ -459,20 +349,6 @@ void FlintContext::SetNodeLinkBandwidth(NodeId id, double bytes_per_s) {
   node->link_bandwidth_bytes_per_s.store(bytes_per_s, std::memory_order_relaxed);
 }
 
-void FlintContext::RecordLinkThroughput(NodeId id, double bytes_per_s) {
-  std::shared_ptr<NodeState> node = GetNodeState(id);
-  if (node == nullptr || bytes_per_s <= 0.0) {
-    return;
-  }
-  const double alpha = config_.link_ewma_alpha;
-  double prev = node->link_throughput_ewma.load(std::memory_order_relaxed);
-  double next;
-  do {
-    next = prev <= 0.0 ? bytes_per_s : (1.0 - alpha) * prev + alpha * bytes_per_s;
-  } while (!node->link_throughput_ewma.compare_exchange_weak(prev, next,
-                                                             std::memory_order_relaxed));
-}
-
 std::shared_ptr<NodeState> FlintContext::GetNodeState(NodeId id) const {
   ReaderMutexLock lock(&nodes_mutex_);
   auto it = nodes_.find(id);
@@ -573,10 +449,7 @@ Status FlintContext::WriteCheckpointData(const RddPtr& rdd, int partition, Parti
   obj.data = std::static_pointer_cast<const void>(data);
   DfsRetryStats retry_stats;
   Status st = PutWithRetry(*dfs_, path, obj, config_.checkpoint_retry, &retry_stats);
-  if (retry_stats.attempts > 1) {
-    counters_.write_retries.fetch_add(static_cast<uint64_t>(retry_stats.attempts - 1),
-                                      std::memory_order_relaxed);
-  }
+  CountCheckpointRetries(retry_stats, /*write=*/true);
   if (!st.ok()) {
     counters_.writes_abandoned.fetch_add(1, std::memory_order_relaxed);
     ReleaseCheckpointWrite(path);
@@ -599,6 +472,19 @@ Status FlintContext::WriteCheckpointData(const RddPtr& rdd, int partition, Parti
     obs->OnCheckpointWritten(rdd, partition, data->SizeBytes(), seconds);
   }
   return Status::Ok();
+}
+
+void FlintContext::CountCheckpointRetries(const DfsRetryStats& stats, bool write) {
+  if (stats.attempts > 1) {
+    const uint64_t retries = static_cast<uint64_t>(stats.attempts - 1);
+    counters_.dfs_retry_attempts.fetch_add(retries, std::memory_order_relaxed);
+    if (write) {
+      counters_.write_retries.fetch_add(retries, std::memory_order_relaxed);
+    }
+  }
+  if (stats.exhausted) {
+    counters_.dfs_retry_exhausted.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 Status FlintContext::WriteCheckpointNow(const RddPtr& rdd, int partition, TaskContext& tc) {
@@ -650,10 +536,7 @@ Status FlintContext::CommitCheckpointManifest(const RddPtr& rdd) {
   Status st =
       PutWithRetry(*dfs_, rdd->ManifestPath(), MakeManifestObject(std::move(manifest)),
                    config_.checkpoint_retry, &retry_stats);
-  if (retry_stats.attempts > 1) {
-    counters_.write_retries.fetch_add(static_cast<uint64_t>(retry_stats.attempts - 1),
-                                      std::memory_order_relaxed);
-  }
+  CountCheckpointRetries(retry_stats, /*write=*/true);
   if (!st.ok()) {
     counters_.writes_abandoned.fetch_add(1, std::memory_order_relaxed);
     return st;
@@ -676,7 +559,10 @@ void FlintContext::QuarantineCheckpoint(const RddPtr& rdd, const std::string& re
 }
 
 Result<PartitionPtr> FlintContext::RestoreFromCheckpoint(const RddPtr& rdd, int partition) {
-  auto manifest_r = ReadManifest(*dfs_, rdd->ManifestPath(), config_.checkpoint_retry);
+  DfsRetryStats retry_stats;
+  auto manifest_r =
+      ReadManifest(*dfs_, rdd->ManifestPath(), config_.checkpoint_retry, &retry_stats);
+  CountCheckpointRetries(retry_stats, /*write=*/false);
   if (!manifest_r.ok()) {
     counters_.restores_fallen_back.fetch_add(1, std::memory_order_relaxed);
     if (manifest_r.status().code() == StatusCode::kNotFound) {
@@ -700,7 +586,9 @@ Result<PartitionPtr> FlintContext::RestoreFromCheckpoint(const RddPtr& rdd, int 
     return DataLoss("checkpoint manifest mismatch for rdd " + std::to_string(rdd->id()));
   }
   const CheckpointPartitionMeta& meta = manifest->partitions[static_cast<size_t>(partition)];
-  auto obj_r = GetWithRetry(*dfs_, rdd->CheckpointPath(partition), config_.checkpoint_retry);
+  auto obj_r = GetWithRetry(*dfs_, rdd->CheckpointPath(partition), config_.checkpoint_retry,
+                            &retry_stats);
+  CountCheckpointRetries(retry_stats, /*write=*/false);
   if (!obj_r.ok()) {
     counters_.restores_fallen_back.fetch_add(1, std::memory_order_relaxed);
     if (obj_r.status().code() == StatusCode::kNotFound) {
@@ -775,9 +663,8 @@ void FlintContext::NotifyPartitionComputed(const RddPtr& rdd, int partition, dou
       first_full_materialization = true;
     }
   }
-  for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnPartitionComputed(rdd, partition, seconds);
-    if (first_full_materialization) {
+  if (first_full_materialization) {
+    for (EngineObserver* obs : ObserversSnapshot()) {
       obs->OnRddMaterialized(rdd);
     }
   }

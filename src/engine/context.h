@@ -58,12 +58,6 @@ struct SpeculationConfig {
   // Hard bound on one stage's wall-clock time, watchdog for hung tasks that
   // speculation cannot save (e.g. every replica hangs). <= 0 disables.
   double stage_watchdog_seconds = 120.0;
-  // Seed a new stage's service-time estimate from the previous stage's
-  // distribution: deadlines arm immediately (using the carried P50) instead
-  // of waiting for `quorum` in-stage completions, so short stages — fewer
-  // tasks than the quorum — still get straggler protection. The live
-  // in-stage estimate takes over once it reaches quorum.
-  bool seed_from_previous_stage = true;
 };
 
 struct EngineConfig {
@@ -101,8 +95,6 @@ struct EngineConfig {
   // node's link when model_latency is on, so a congested NIC inflates
   // reduce-side service times the same way slow compute does.
   double default_link_bandwidth_bytes_per_s = 512.0 * kMiB;
-  // EWMA weight for a node's observed fetch throughput (link_throughput_ewma).
-  double link_ewma_alpha = 0.3;
   // Per-fetch timeout = max(fetch_timeout_min_seconds,
   // fetch_timeout_multiplier x current stage P95 service time). No stage
   // quantile yet (or multiplier <= 0) means no timeout. A pull past the
@@ -116,66 +108,109 @@ struct EngineConfig {
   double fetch_retry_backoff_seconds = 0.01;  // doubles per retry
 };
 
-// Monotonic counters for experiment reporting. All fields are cumulative
-// since context creation.
+// Monotonic counters for experiment reporting, cumulative since context
+// creation. Each field is a cell of the context's MetricSet, declared next to
+// the series it exports.
 struct EngineCounters {
-  explicit EngineCounters(LatencyModel& latency)
-      : net_fetch_wait_nanos(latency.Account(Layer::kShuffleFetch)) {}
+  EngineCounters(MetricSet& set, LatencyModel& model) : metrics(set), latency(model) {}
 
-  std::atomic<uint64_t> tasks_run{0};
-  std::atomic<uint64_t> task_failures{0};
-  std::atomic<uint64_t> partitions_computed{0};
-  std::atomic<uint64_t> partitions_recomputed{0};  // computed more than once
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> checkpoint_writes{0};
-  std::atomic<uint64_t> checkpoint_bytes{0};
-  std::atomic<uint64_t> checkpoint_reads{0};
-  // Storage-fault accounting (checkpoint path):
-  std::atomic<uint64_t> write_retries{0};     // checkpoint Put attempts beyond the first
-  std::atomic<uint64_t> writes_abandoned{0};  // checkpoint Puts that exhausted the retry budget
-  std::atomic<uint64_t> restores_fallen_back{0};  // restores demoted to lineage recomputation
-  std::atomic<uint64_t> checkpoints_quarantined{0};  // corrupt/torn checkpoint dirs deleted
-  std::atomic<int64_t> compute_nanos{0};
-  std::atomic<int64_t> acquisition_wait_nanos{0};  // scheduler stalls with zero live nodes
-  std::atomic<uint64_t> stage_rounds{0};  // dispatch rounds across all stage loops
-  std::atomic<uint64_t> stage_parks{0};   // rounds where every submission was rejected
-  // Operator-fusion accounting (narrow-chain streaming, see fusion.h):
-  std::atomic<uint64_t> fused_chains{0};             // fused chain executions
-  std::atomic<uint64_t> fused_operators_elided{0};   // intermediate partitions not built
+  MetricSet& metrics;
+  LatencyModel& latency;
+
+  std::atomic<uint64_t>& tasks_run = metrics.AddCounter("flint_engine_tasks_run");
+  std::atomic<uint64_t>& task_failures = metrics.AddCounter("flint_engine_task_failures");
+  std::atomic<uint64_t>& partitions_computed =
+      metrics.AddCounter("flint_engine_partitions_computed");
+  // Partitions computed more than once.
+  std::atomic<uint64_t>& partitions_recomputed =
+      metrics.AddCounter("flint_engine_partitions_recomputed");
+  std::atomic<uint64_t>& cache_hits = metrics.AddCounter("flint_engine_cache_hits");
+  std::atomic<uint64_t>& cache_misses = metrics.AddCounter("flint_engine_cache_misses");
+  std::atomic<uint64_t>& checkpoint_writes = metrics.AddCounter("flint_engine_checkpoint_writes");
+  std::atomic<uint64_t>& checkpoint_bytes = metrics.AddCounter("flint_engine_checkpoint_bytes");
+  std::atomic<uint64_t>& checkpoint_reads = metrics.AddCounter("flint_engine_checkpoint_reads");
+  // Storage-fault accounting (checkpoint path): checkpoint Put attempts
+  // beyond the first, and Puts that exhausted the retry budget.
+  std::atomic<uint64_t>& write_retries = metrics.AddCounter("flint_dfs_write_retries");
+  std::atomic<uint64_t>& writes_abandoned = metrics.AddCounter("flint_dfs_writes_abandoned");
+  // Retries, and exhausted retry budgets, over every checkpoint Put and
+  // restore Get (FlintContext::CountCheckpointRetries).
+  std::atomic<uint64_t>& dfs_retry_attempts = metrics.AddCounter("flint_dfs_retry_attempts");
+  std::atomic<uint64_t>& dfs_retry_exhausted = metrics.AddCounter("flint_dfs_retry_exhausted");
+  // Restores demoted to lineage recomputation, and corrupt or torn
+  // checkpoint dirs deleted.
+  std::atomic<uint64_t>& restores_fallen_back =
+      metrics.AddCounter("flint_engine_restores_fallen_back");
+  std::atomic<uint64_t>& checkpoints_quarantined =
+      metrics.AddCounter("flint_engine_checkpoints_quarantined");
+  std::atomic<int64_t>& compute_nanos = metrics.AddNanos("flint_engine_compute_seconds");
+  // Scheduler stalls with zero live nodes.
+  std::atomic<int64_t>& acquisition_wait_nanos =
+      metrics.AddNanos("flint_engine_acquisition_wait_seconds");
+  // Dispatch rounds across all stage loops, and rounds where every
+  // submission was rejected.
+  std::atomic<uint64_t>& stage_rounds = metrics.AddCounter("flint_engine_stage_rounds");
+  std::atomic<uint64_t>& stage_parks = metrics.AddCounter("flint_engine_stage_parks");
+  // Operator-fusion accounting (narrow-chain streaming, see fusion.h): fused
+  // chain executions, and intermediate partitions not built.
+  std::atomic<uint64_t>& fused_chains = metrics.AddCounter("flint_fusion_fused_chains");
+  std::atomic<uint64_t>& fused_operators_elided =
+      metrics.AddCounter("flint_fusion_operators_elided");
   // Shuffle data-plane accounting (wide-stage pipelining, see
   // TaskContext::ComputeShuffleBuckets and the bucket sinks in typed_rdd.h):
-  std::atomic<uint64_t> shuffle_rows_bucketed_fused{0};    // rows streamed into buckets
-  std::atomic<uint64_t> shuffle_rows_bucketed_unfused{0};  // rows bucketed after materializing
-  std::atomic<uint64_t> shuffle_fused_bucket_chains{0};    // map tasks that elided their output
-  std::atomic<uint64_t> shuffle_combine_hits{0};   // map-side rows absorbed by the combiner
+  // rows streamed into buckets, rows bucketed after materializing, map tasks
+  // that elided their output, and map-side rows absorbed by the combiner.
+  std::atomic<uint64_t>& shuffle_rows_bucketed_fused =
+      metrics.AddCounter("flint_shuffle_rows_bucketed_fused");
+  std::atomic<uint64_t>& shuffle_rows_bucketed_unfused =
+      metrics.AddCounter("flint_shuffle_rows_bucketed_unfused");
+  std::atomic<uint64_t>& shuffle_fused_bucket_chains =
+      metrics.AddCounter("flint_shuffle_fused_bucket_chains");
+  std::atomic<uint64_t>& shuffle_combine_hits = metrics.AddCounter("flint_shuffle_combine_hits");
   // Stages whose speculation deadlines armed from the previous stage's
   // carried quantile before reaching in-stage quorum.
-  std::atomic<uint64_t> stage_quantile_seeded{0};
-  // Straggler-mitigation accounting (see SpeculationConfig):
-  std::atomic<uint64_t> tasks_speculated{0};        // duplicate attempts launched
-  std::atomic<uint64_t> speculative_wins{0};        // duplicates that beat the original
-  std::atomic<uint64_t> task_deadline_misses{0};    // attempts that blew their deadline
-  std::atomic<uint64_t> task_retries{0};            // failed attempts re-submitted
-  std::atomic<uint64_t> tasks_cancelled{0};         // attempt cancellations issued
-  std::atomic<uint64_t> stage_watchdog_timeouts{0};  // stages aborted by the watchdog
+  std::atomic<uint64_t>& stage_quantile_seeded =
+      metrics.AddCounter("flint_engine_stage_quantile_seeded");
+  // Straggler-mitigation accounting (see SpeculationConfig): duplicate
+  // attempts launched, duplicates that beat the original, attempts that blew
+  // their deadline, failed attempts re-submitted, attempt cancellations
+  // issued, and stages aborted by the watchdog.
+  std::atomic<uint64_t>& tasks_speculated = metrics.AddCounter("flint_engine_tasks_speculated");
+  std::atomic<uint64_t>& speculative_wins = metrics.AddCounter("flint_engine_speculative_wins");
+  std::atomic<uint64_t>& task_deadline_misses =
+      metrics.AddCounter("flint_engine_task_deadline_misses");
+  std::atomic<uint64_t>& task_retries = metrics.AddCounter("flint_engine_task_retries");
+  std::atomic<uint64_t>& tasks_cancelled = metrics.AddCounter("flint_engine_tasks_cancelled");
+  std::atomic<uint64_t>& stage_watchdog_timeouts =
+      metrics.AddCounter("flint_engine_stage_watchdog_timeouts");
   // Executor-queue wait: execution-start stamp minus submission, summed over
   // attempts whose stamp was seen. Deadline clocks exclude this slack.
-  std::atomic<int64_t> task_queue_wait_nanos{0};
+  std::atomic<int64_t>& task_queue_wait_nanos =
+      metrics.AddNanos("flint_engine_task_queue_wait_seconds");
   // Network-plane accounting (the hardened shuffle-fetch path, see
-  // TaskContext::FetchShuffle):
-  std::atomic<uint64_t> net_fetches{0};           // per-producer pulls charged
-  std::atomic<uint64_t> net_fetch_bytes{0};       // bytes pulled over node links
-  std::atomic<uint64_t> net_fetches_slow{0};      // pulls that blew the fetch timeout
-  std::atomic<uint64_t> net_fetch_retries{0};     // timed-out pulls retried with backoff
-  std::atomic<uint64_t> net_fetch_recomputes{0};  // fetches that fell back to recompute
+  // TaskContext::FetchShuffle): per-producer pulls charged, bytes pulled over
+  // node links, pulls that blew the fetch timeout, timed-out pulls retried
+  // with backoff, and fetches that fell back to recompute.
+  std::atomic<uint64_t>& net_fetches = metrics.AddCounter("flint_net_fetches");
+  std::atomic<uint64_t>& net_fetch_bytes = metrics.AddCounter("flint_net_fetch_bytes");
+  std::atomic<uint64_t>& net_fetches_slow = metrics.AddCounter("flint_net_fetches_slow");
+  std::atomic<uint64_t>& net_fetch_retries = metrics.AddCounter("flint_net_fetch_retries");
+  std::atomic<uint64_t>& net_fetch_recomputes = metrics.AddCounter("flint_net_fetch_recomputes");
   // Modelled transfer time charged: the latency model's kShuffleFetch account.
-  std::atomic<int64_t>& net_fetch_wait_nanos;
+  std::atomic<int64_t>& net_fetch_wait_nanos =
+      metrics.AddNanos("flint_net_fetch_wait_seconds", latency.Account(Layer::kShuffleFetch));
+  // Modelled wait of each producer pull. A pull takes microseconds to
+  // milliseconds, below the default latency buckets' 1 ms floor; 10 us
+  // doubling through ~84 s resolves it.
+  Histogram& net_fetch_seconds =
+      metrics.AddHistogram("flint_net_fetch_seconds", Histogram::DoublingBounds(1e-5, 100.0));
   // Cache-locality accounting (see LineagePreferredNode and
-  // FlintContext::LookupBlock):
-  std::atomic<uint64_t> tasks_placed_local{0};        // picks won by the preferred node
-  std::atomic<uint64_t> remote_cache_reads{0};        // cached blocks read off another node
-  std::atomic<uint64_t> remote_cache_read_bytes{0};   // bytes those reads pulled
+  // FlintContext::LookupBlock): picks won by the preferred node, cached
+  // blocks read off another node, and the bytes those reads pulled.
+  std::atomic<uint64_t>& tasks_placed_local = metrics.AddCounter("flint_engine_tasks_placed_local");
+  std::atomic<uint64_t>& remote_cache_reads = metrics.AddCounter("flint_engine_remote_cache_reads");
+  std::atomic<uint64_t>& remote_cache_read_bytes =
+      metrics.AddCounter("flint_engine_remote_cache_read_bytes");
 };
 
 // Engine-side state of one node. Retired (revoked) nodes are kept until
@@ -209,10 +244,6 @@ struct NodeState {
   // EngineConfig::default_link_bandwidth_bytes_per_s; tests override per
   // node via SetNodeLinkBandwidth to model heterogeneous fleets.
   std::atomic<double> link_bandwidth_bytes_per_s{512.0 * 1024.0 * 1024.0};
-  // EWMA of observed fetch throughput over this node's link (bytes/s); 0
-  // until the first pull completes. Folded by reduce-side tasks with a CAS
-  // loop, read by telemetry and market costing.
-  std::atomic<double> link_throughput_ewma{0.0};
 };
 
 class FlintContext : public ClusterListener {
@@ -290,9 +321,6 @@ class FlintContext : public ClusterListener {
   // Overrides `id`'s modelled NIC capacity (bytes/s). Unknown ids are
   // ignored. Tests use this to model heterogeneous fleets.
   void SetNodeLinkBandwidth(NodeId id, double bytes_per_s);
-  // Folds one observed fetch throughput sample (bytes/s) into `node`'s
-  // link_throughput_ewma with EngineConfig::link_ewma_alpha.
-  void RecordLinkThroughput(NodeId node, double bytes_per_s);
   // Blocks until at least one live node accepts new tasks or `deadline`
   // passes (kDeadlineExceeded); accumulates acquisition wait.
   Status WaitForLiveNode(WallTime deadline);
@@ -401,13 +429,18 @@ class FlintContext : public ClusterListener {
   bool ClaimCheckpointWrite(const std::string& path);
   void ReleaseCheckpointWrite(const std::string& path);
   bool CheckpointWriteInFlight(const std::string& path) const;
+  // Adds one retried checkpoint Put (write) or restore Get to the retry
+  // counters.
+  void CountCheckpointRetries(const DfsRetryStats& stats, bool write);
 
   ClusterManager* cluster_;
   Dfs* dfs_;
   EngineConfig config_;
   ShuffleManager shuffle_mgr_;
   LatencyModel latency_{config_.model_latency};
-  EngineCounters counters_{latency_};
+  // Declared after the latency model whose accounts it exports.
+  MetricSet metrics_;
+  EngineCounters counters_{metrics_, latency_};
 
   mutable Mutex nodes_mutex_{"FlintContext::nodes_mutex_"};
   CondVar node_added_cv_;
@@ -449,11 +482,6 @@ class FlintContext : public ClusterListener {
   std::unordered_set<std::string> ckpt_inflight_ GUARDED_BY(ckpt_mutex_);
   std::unordered_map<int, std::unordered_map<int, CheckpointPartitionMeta>> ckpt_written_
       GUARDED_BY(ckpt_mutex_);
-
-  // Exports EngineCounters + block/shuffle aggregates into the global
-  // MetricsRegistry. Declared last so it unhooks before any state it reads
-  // is torn down.
-  ScopedCollector metrics_collector_;
 };
 
 }  // namespace flint

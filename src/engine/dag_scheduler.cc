@@ -294,7 +294,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   // Cross-stage carry-over: until the in-stage estimate reaches quorum,
   // deadlines may arm from the previous stage's P50 (carried_p50_), so short
   // stages — fewer tasks than the quorum — still get straggler protection.
-  const bool seed_available = spec_cfg.enabled && spec_cfg.seed_from_previous_stage &&
+  const bool seed_available = spec_cfg.enabled &&
                               carried_count_ >= static_cast<size_t>(spec_cfg.quorum);
   bool seed_counted = false;
   // The fetch-timeout quantiles mirror deadline arming: carried values stand

@@ -136,9 +136,10 @@ class DagScheduler {
   FlintContext* ctx_;
   static constexpr int kMaxRecoveryDepth = 64;
 
-  // Service-time distribution of the most recently completed stage
-  // (SpeculationConfig::seed_from_previous_stage): a new stage arms its
-  // speculation deadlines from this before its own quantile reaches quorum.
+  // Service-time distribution of the most recently completed stage: a new
+  // stage arms its speculation deadlines from this before its own quantile
+  // reaches quorum, so short stages (fewer tasks than the quorum) still get
+  // straggler protection.
   // Only touched by the scheduler thread (jobs are serialized by
   // FlintContext::job_mutex_; nested stage loops run on the same thread).
   double carried_p50_ = 0.0;

@@ -96,12 +96,6 @@ class EngineObserver {
   virtual void OnRddCreated(const RddPtr& rdd) { (void)rdd; }
   // Every partition of `rdd` has been computed at least once.
   virtual void OnRddMaterialized(const RddPtr& rdd) { (void)rdd; }
-  // One partition finished computing (compute_seconds excludes input fetch).
-  virtual void OnPartitionComputed(const RddPtr& rdd, int partition, double compute_seconds) {
-    (void)rdd;
-    (void)partition;
-    (void)compute_seconds;
-  }
   // A checkpoint write for (rdd, partition) completed durably.
   virtual void OnCheckpointWritten(const RddPtr& rdd, int partition, uint64_t bytes,
                                    double write_seconds) {

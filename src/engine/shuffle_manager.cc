@@ -3,9 +3,15 @@
 #include <string>
 
 #include "src/common/log.h"
-#include "src/obs/metrics.h"
 
 namespace flint {
+
+ShuffleManager::ShuffleManager() {
+  metrics_.AddGauge("flint_shuffle_live_shuffles",
+                    [this] { return static_cast<double>(NumShuffles()); });
+  metrics_.AddGauge("flint_shuffle_total_bytes",
+                    [this] { return static_cast<double>(TotalBytes()); });
+}
 
 void ShuffleManager::RegisterShuffle(int shuffle_id, int num_maps, int num_reduces) {
   // Registration is tracked with an explicit flag, not outputs.empty():
@@ -28,7 +34,7 @@ void ShuffleManager::RegisterShuffle(int shuffle_id, int num_maps, int num_reduc
     }
   }
   if (conflicting) {
-    MetricsRegistry::Global().GetCounter("flint_shuffle_reregistered")->Increment();
+    reregistered_.fetch_add(1, std::memory_order_relaxed);
     FLINT_WLOG() << "shuffle " << shuffle_id
                  << " re-registered with a different shape; keeping first "
                     "registration (maps=" << num_maps << " reduces=" << num_reduces

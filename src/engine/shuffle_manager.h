@@ -17,11 +17,14 @@
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/engine/partition.h"
+#include "src/obs/metrics.h"
 
 namespace flint {
 
 class ShuffleManager {
  public:
+  ShuffleManager();
+
   // Declares a shuffle with M map partitions and R reduce partitions.
   void RegisterShuffle(int shuffle_id, int num_maps, int num_reduces);
 
@@ -56,20 +59,6 @@ class ShuffleManager {
   // too slow to serve its buckets. Returns the number of outputs dropped.
   size_t DropNodeOutputs(int shuffle_id, NodeId node);
 
-  // Fetch calls that failed because outputs were missing (the consumer has
-  // to wait for a re-run); exported as flint_shuffle_fetch_waits.
-  uint64_t FetchWaits() const { return fetch_waits_.load(std::memory_order_relaxed); }
-
-  // Map outputs registered (re-registrations after a revocation included)
-  // and their cumulative bucket bytes; exported as
-  // flint_shuffle_map_outputs / flint_shuffle_registered_bytes.
-  uint64_t MapOutputsRegistered() const {
-    return map_outputs_registered_.load(std::memory_order_relaxed);
-  }
-  uint64_t RegisteredBytes() const {
-    return registered_bytes_.load(std::memory_order_relaxed);
-  }
-
   // Number of registered shuffles currently tracked.
   size_t NumShuffles() const;
 
@@ -83,6 +72,9 @@ class ShuffleManager {
   // shuffle state a systems-level snapshot must persist (older shuffles'
   // outputs are dead weight kept only for potential recovery).
   uint64_t RecentShuffleBytes(int last_n) const;
+
+  // The flint_shuffle_* series this manager counts.
+  const MetricSet& metrics() const { return metrics_; }
 
  private:
   struct MapOutput {
@@ -101,9 +93,18 @@ class ShuffleManager {
 
   mutable Mutex mutex_{"ShuffleManager::mutex_"};
   std::unordered_map<int, ShuffleState> shuffles_ GUARDED_BY(mutex_);
-  mutable std::atomic<uint64_t> fetch_waits_{0};
-  std::atomic<uint64_t> map_outputs_registered_{0};
-  std::atomic<uint64_t> registered_bytes_{0};
+  // Declared after the state its gauges read.
+  MetricSet metrics_;
+  // Fetch calls that failed because outputs were missing (the consumer has
+  // to wait for a re-run).
+  std::atomic<uint64_t>& fetch_waits_ = metrics_.AddCounter("flint_shuffle_fetch_waits");
+  // Map outputs registered (re-registrations after a revocation included)
+  // and their cumulative bucket bytes.
+  std::atomic<uint64_t>& map_outputs_registered_ =
+      metrics_.AddCounter("flint_shuffle_map_outputs");
+  std::atomic<uint64_t>& registered_bytes_ = metrics_.AddCounter("flint_shuffle_registered_bytes");
+  // RegisterShuffle calls whose shape conflicted with the first registration.
+  std::atomic<uint64_t>& reregistered_ = metrics_.AddCounter("flint_shuffle_reregistered");
 };
 
 }  // namespace flint

@@ -210,18 +210,6 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
   return terminal.finish();
 }
 
-namespace {
-
-// A bucket fetch takes microseconds to milliseconds, below the default
-// latency buckets' 1 ms floor; 10 us doubling through ~84 s resolves it.
-Histogram* FetchSecondsHistogram() {
-  static Histogram* h = MetricsRegistry::Global().GetHistogram(
-      "flint_net_fetch_seconds", Histogram::DoublingBounds(1e-5, 100.0));
-  return h;
-}
-
-}  // namespace
-
 double TaskContext::FetchTimeoutSeconds() const {
   const EngineConfig& cfg = ctx_->config();
   if (cfg.fetch_timeout_multiplier <= 0.0) {
@@ -249,12 +237,6 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
   const double effective = capacity > 0.0 ? capacity / factor : 0.0;
   counters.net_fetches.fetch_add(1, std::memory_order_relaxed);
   counters.net_fetch_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  // The throughput this pull observes over the producer's link; folded into
-  // the link EWMA whether or not the wait itself is modelled, so market
-  // costing sees degraded links even in fast test runs.
-  if (effective > 0.0) {
-    ctx_->RecordLinkThroughput(producer, effective);
-  }
   LatencyModel& latency = ctx_->latency();
   const double transfer_s = latency.TransferSeconds(bytes, capacity, factor);
   const bool timed_out = timeout_seconds > 0.0 && transfer_s > timeout_seconds;
@@ -264,7 +246,7 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
   if (!latency.Wait(Layer::kShuffleFetch, wait_s, [this] { return Cancelled(); }).ok()) {
     return Unavailable("cancelled during shuffle fetch");
   }
-  FetchSecondsHistogram()->Observe(wait_s);
+  counters.net_fetch_seconds.Observe(wait_s);
   const double ratio = capacity > 0.0 ? std::clamp(effective / capacity, 0.0, 1.0) : 0.0;
   if (!timed_out) {
     // Degraded but within budget: report the observed ratio as a healthy

@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <utility>
 
 namespace flint {
-
-namespace obs_internal {
-
-size_t ThreadStripe() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t stripe = next.fetch_add(1, std::memory_order_relaxed);
-  return stripe;
-}
 
 namespace {
 
@@ -32,58 +25,29 @@ std::string FormatValue(double v) {
 }
 
 }  // namespace
-}  // namespace obs_internal
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)),
+      buckets_(std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1)) {
   std::sort(bounds_.begin(), bounds_.end());
-  for (Stripe& s : stripes_) {
-    s.buckets = std::vector<std::atomic<uint64_t>>(bounds_.size() + 1);
-  }
 }
 
 void Histogram::Observe(double value) {
-  Stripe& s = stripes_[obs_internal::ThreadStripe() % kStripes];
   const size_t bucket =
       std::upper_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin();
-  s.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  obs_internal::AtomicAddDouble(s.sum, value);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  double sum = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(sum, sum + value, std::memory_order_relaxed)) {
+  }
 }
 
 std::vector<uint64_t> Histogram::Counts() const {
-  std::vector<uint64_t> counts(bounds_.size() + 1, 0);
-  for (const Stripe& s : stripes_) {
-    for (size_t i = 0; i < counts.size(); ++i) {
-      counts[i] += s.buckets[i].load(std::memory_order_relaxed);
-    }
+  std::vector<uint64_t> counts(bounds_.size() + 1);
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return counts;
-}
-
-uint64_t Histogram::TotalCount() const {
-  uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    total += s.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::Sum() const {
-  double total = 0.0;
-  for (const Stripe& s : stripes_) {
-    total += s.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Histogram::Reset() {
-  for (Stripe& s : stripes_) {
-    for (std::atomic<uint64_t>& b : s.buckets) {
-      b.store(0, std::memory_order_relaxed);
-    }
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 std::vector<double> Histogram::DoublingBounds(double first, double limit) {
@@ -127,7 +91,7 @@ std::string MetricsSnapshot::FormatPrometheusText() const {
     out += s.type == MetricType::kCounter ? " counter\n" : " gauge\n";
     out += s.name;
     out += ' ';
-    out += obs_internal::FormatValue(s.value);
+    out += FormatValue(s.value);
     out += '\n';
   }
   for (const HistogramSnapshot& h : histograms) {
@@ -139,121 +103,189 @@ std::string MetricsSnapshot::FormatPrometheusText() const {
       cumulative += h.counts[i];
       out += h.name;
       out += "_bucket{le=\"";
-      out += i < h.bounds.size() ? obs_internal::FormatValue(h.bounds[i]) : "+Inf";
+      out += i < h.bounds.size() ? FormatValue(h.bounds[i]) : "+Inf";
       out += "\"} ";
-      out += obs_internal::FormatValue(static_cast<double>(cumulative));
+      out += FormatValue(static_cast<double>(cumulative));
       out += '\n';
     }
     out += h.name;
     out += "_sum ";
-    out += obs_internal::FormatValue(h.sum);
+    out += FormatValue(h.sum);
     out += '\n';
     out += h.name;
     out += "_count ";
-    out += obs_internal::FormatValue(static_cast<double>(h.total_count));
+    out += FormatValue(static_cast<double>(h.total_count));
     out += '\n';
   }
   return out;
 }
-
-MetricsRegistry::MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  MutexLock lock(&mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+namespace {
+
+// Sorts by name, then folds each run of same-named entries into its first.
+template <typename T, typename Fold>
+void SortAndMerge(std::vector<T>& v, Fold fold) {
+  std::stable_sort(v.begin(), v.end(), [](const T& a, const T& b) { return a.name < b.name; });
+  size_t out = 0;
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (out > 0 && v[out - 1].name == v[i].name) {
+      fold(v[out - 1], v[i]);
+    } else {
+      if (out != i) {
+        v[out] = std::move(v[i]);
+      }
+      ++out;
+    }
   }
-  return slot.get();
+  v.resize(out);
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  MutexLock lock(&mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
-  MutexLock lock(&mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return slot.get();
-}
-
-uint64_t MetricsRegistry::RegisterCollector(CollectorFn fn) {
-  MutexLock lock(&mutex_);
-  const uint64_t id = next_collector_id_++;
-  collectors_[id] = std::move(fn);
-  return id;
-}
-
-void MetricsRegistry::UnregisterCollector(uint64_t id) {
-  MutexLock lock(&mutex_);
-  collectors_.erase(id);
-}
+}  // namespace
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
-  std::vector<CollectorFn> collectors;
   {
     MutexLock lock(&mutex_);
-    for (const auto& [name, counter] : counters_) {
-      snap.samples.push_back({name, MetricType::kCounter,
-                              static_cast<double>(counter->Value())});
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      snap.samples.push_back({name, MetricType::kGauge, gauge->Value()});
-    }
-    for (const auto& [name, histogram] : histograms_) {
-      HistogramSnapshot h;
-      h.name = name;
-      h.bounds = histogram->bounds();
-      h.counts = histogram->Counts();
-      h.total_count = histogram->TotalCount();
-      h.sum = histogram->Sum();
-      snap.histograms.push_back(std::move(h));
-    }
-    collectors.reserve(collectors_.size());
-    for (const auto& [id, fn] : collectors_) {
-      collectors.push_back(fn);
+    for (const MetricSet* set : sets_) {
+      set->AppendTo(snap);
     }
   }
-  // Collectors run without the registry lock so they can take their own
-  // subsystem locks (and call GetCounter) without ordering constraints.
-  for (const CollectorFn& fn : collectors) {
-    fn(snap.samples);
-  }
-  std::sort(snap.samples.begin(), snap.samples.end(),
-            [](const MetricSample& a, const MetricSample& b) { return a.name < b.name; });
-  std::sort(snap.histograms.begin(), snap.histograms.end(),
-            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
+  SortAndMerge(snap.samples,
+               [](MetricSample& into, const MetricSample& s) { into.value += s.value; });
+  SortAndMerge(snap.histograms, [](HistogramSnapshot& into, const HistogramSnapshot& h) {
+    for (size_t i = 0; i < into.counts.size() && i < h.counts.size(); ++i) {
+      into.counts[i] += h.counts[i];
+    }
+    into.total_count += h.total_count;
+    into.sum += h.sum;
+  });
   return snap;
 }
 
-void MetricsRegistry::ResetForTest() {
-  MutexLock lock(&mutex_);
-  for (auto& [name, counter] : counters_) {
-    counter->Reset();
+MetricSet::MetricSet(MetricsRegistry& registry) : registry_(registry) {
+  MutexLock lock(&registry_.mutex_);
+  registry_.sets_.push_back(this);
+}
+
+MetricSet::~MetricSet() {
+  {
+    MutexLock lock(&registry_.mutex_);
+    std::erase(registry_.sets_, this);
   }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->Reset();
+  Block* block = &head_;
+  for (size_t i = 0; i < declared_; ++i) {
+    if (i > 0 && i % kBlockSize == 0) {
+      block = block->next.get();
+    }
+    Series& s = block->series[i % kBlockSize];
+    if (s.kind == Kind::kGauge) {
+      std::destroy_at(&s.read);
+    }
   }
-  for (auto& [name, histogram] : histograms_) {
-    histogram->Reset();
+}
+
+MetricSet::Series& MetricSet::Next(const char* name, Kind kind) {
+  if (declared_ > 0 && declared_ % kBlockSize == 0) {
+    tail_->next = std::make_unique_for_overwrite<Block>();
+    tail_ = tail_->next.get();
   }
+  Series& s = tail_->series[declared_ % kBlockSize];
+  s.name = name;
+  s.kind = kind;
+  return s;
+}
+
+void MetricSet::Publish() {
+  // Orders the slot's fields and any new block before readers see them.
+  published_.store(++declared_, std::memory_order_release);
+}
+
+template <typename F>
+void MetricSet::ForEach(F f) const {
+  const size_t n = published_.load(std::memory_order_acquire);
+  const Block* block = &head_;
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && i % kBlockSize == 0) {
+      block = block->next.get();
+    }
+    f(block->series[i % kBlockSize]);
+  }
+}
+
+std::atomic<uint64_t>& MetricSet::AddCounter(const char* name) {
+  Series& s = Next(name, Kind::kCounter);
+  std::construct_at(&s.count, 0);
+  Publish();
+  return s.count;
+}
+
+std::atomic<int64_t>& MetricSet::AddNanos(const char* name) {
+  Series& s = Next(name, Kind::kNanos);
+  s.account = std::construct_at(&s.nanos, 0);
+  Publish();
+  return s.nanos;
+}
+
+std::atomic<int64_t>& MetricSet::AddNanos(const char* name, std::atomic<int64_t>& account) {
+  Series& s = Next(name, Kind::kNanos);
+  s.account = &account;
+  Publish();
+  return account;
+}
+
+void MetricSet::AddGauge(const char* name, std::function<double()> read) {
+  Series& s = Next(name, Kind::kGauge);
+  std::construct_at(&s.read, std::move(read));
+  Publish();
+}
+
+Histogram& MetricSet::AddHistogram(const char* name, std::vector<double> bounds) {
+  Series& s = Next(name, Kind::kHistogram);
+  Histogram& hist = *histograms_.emplace_back(std::make_unique<Histogram>(std::move(bounds)));
+  s.hist = &hist;
+  Publish();
+  return hist;
+}
+
+double MetricSet::Read(const Series& s) {
+  switch (s.kind) {
+    case Kind::kCounter:
+      return static_cast<double>(s.count.load(std::memory_order_relaxed));
+    case Kind::kNanos:
+      return static_cast<double>(s.account->load(std::memory_order_relaxed)) * 1e-9;
+    case Kind::kGauge:
+      return s.read();
+    case Kind::kHistogram:
+      break;
+  }
+  return 0.0;
+}
+
+double MetricSet::Value(std::string_view name) const {
+  double value = 0.0;
+  ForEach([&](const Series& s) {
+    if (name == s.name && s.kind != Kind::kHistogram) {
+      value += Read(s);
+    }
+  });
+  return value;
+}
+
+void MetricSet::AppendTo(MetricsSnapshot& snap) const {
+  ForEach([&snap](const Series& s) {
+    if (s.kind == Kind::kHistogram) {
+      snap.histograms.push_back(
+          {s.name, s.hist->bounds(), s.hist->Counts(), s.hist->TotalCount(), s.hist->Sum()});
+    } else {
+      snap.samples.push_back(
+          {s.name, s.kind == Kind::kGauge ? MetricType::kGauge : MetricType::kCounter, Read(s)});
+    }
+  });
 }
 
 }  // namespace flint

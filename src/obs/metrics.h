@@ -1,28 +1,18 @@
-// Process-wide metrics registry (ISSUE 6): one namespace for every counter
-// Flint maintains, replacing the per-subsystem silos (EngineCounters,
-// FaultToleranceManager::Stats, DFS retry counts, fusion counters,
-// BlockManager shard accounting, NodeManager lease history, MutexStats).
+// Metrics (DESIGN.md "Observability"). Every series is declared once, by the
+// object that counts it, in that object's MetricSet: by literal name, next to
+// the storage it counts. A counter is a plain relaxed atomic the owner bumps
+// on its hot path; a value computed when read (a cost, a health minimum, the
+// live delta/tau estimate) is a gauge function; histograms live in the set
+// too.
 //
-// Two kinds of instruments coexist:
-//
-//   - Native instruments (Counter / Gauge / Histogram) created on demand by
-//     name. Counters and histograms stripe their cells across cache-line-
-//     padded atomics so concurrent writers on different threads do not
-//     false-share; reads sum the stripes. These are for *new* metrics
-//     (shuffle_reregistered, dfs retry counts, selector sanitization, ...).
-//
-//   - Collectors: callbacks that adapt an existing subsystem's own counters
-//     into the registry namespace at Snapshot() time. Subsystems keep their
-//     hot-path atomics exactly as they are (EngineCounters stays an array of
-//     relaxed atomics); the collector only runs when somebody asks for a
-//     snapshot. Register with a ScopedCollector member so the callback is
-//     unhooked before the subsystem dies.
-//
-// Snapshot() merges both into a sorted sample list; FormatPrometheusText()
-// renders the Prometheus text exposition format for scraping or file export.
+// The registry keeps only the list of live sets. Snapshot() reads every set
+// and sums same-named series across them, so two live clusters export each
+// series once, and a series leaves the export with its owner — nothing one
+// cluster counts survives into the next. FormatPrometheusText() renders the
+// Prometheus text exposition format for scraping or file export.
 //
 // Naming convention: flint_<subsystem>_<what>[_<unit>], e.g.
-// flint_engine_tasks_run, flint_ft_delta_seconds, flint_block_cache_hits.
+// flint_engine_tasks_run, flint_ft_delta_seconds, flint_block_hits.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -33,7 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -41,64 +31,9 @@
 
 namespace flint {
 
-namespace obs_internal {
-// Stable small per-thread index used to pick a stripe. Threads are assigned
-// round-robin on first use; the modulo by the stripe count spreads them.
-size_t ThreadStripe();
-
-// Portable atomic double accumulation (CAS loop; std::atomic<double>::
-// fetch_add is C++20 but not universally lock-free on older toolchains).
-inline void AtomicAddDouble(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta, std::memory_order_relaxed)) {
-  }
-}
-}  // namespace obs_internal
-
-// Monotonic counter. Increment is wait-free: one relaxed fetch_add on the
-// calling thread's stripe.
-class Counter {
- public:
-  void Increment(uint64_t n = 1) {
-    cells_[obs_internal::ThreadStripe() % kStripes].value.fetch_add(n,
-                                                                    std::memory_order_relaxed);
-  }
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Cell& c : cells_) {
-      total += c.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void Reset() {
-    for (Cell& c : cells_) {
-      c.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  static constexpr size_t kStripes = 8;
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> value{0};
-  };
-  std::array<Cell, kStripes> cells_{};
-};
-
-// Last-write-wins scalar (plus Add for accumulating doubles).
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) { obs_internal::AtomicAddDouble(value_, delta); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 // Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds; an
-// implicit +inf bucket catches the rest. Observe is wait-free on the calling
-// thread's stripe.
+// implicit +inf bucket catches the rest. Observe takes no lock: relaxed
+// atomic adds, and a CAS loop for the sum.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -108,9 +43,8 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   // counts() has bounds().size() + 1 entries (last = overflow bucket).
   std::vector<uint64_t> Counts() const;
-  uint64_t TotalCount() const;
-  double Sum() const;
-  void Reset();
+  uint64_t TotalCount() const { return count_.load(std::memory_order_relaxed); }
+  double Sum() const { return sum_.load(std::memory_order_relaxed); }
 
   // Bounds first, 2*first, 4*first, ... while below `limit` (first > 0).
   static std::vector<double> DoublingBounds(double first, double limit);
@@ -118,14 +52,10 @@ class Histogram {
   static std::vector<double> DefaultLatencyBounds();
 
  private:
-  static constexpr size_t kStripes = 8;
-  struct alignas(64) Stripe {
-    std::vector<std::atomic<uint64_t>> buckets;
-    std::atomic<uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-  };
   std::vector<double> bounds_;
-  std::array<Stripe, kStripes> stripes_;
+  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
+  std::atomic<uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
 };
 
 enum class MetricType { kCounter, kGauge };
@@ -145,7 +75,7 @@ struct HistogramSnapshot {
 };
 
 struct MetricsSnapshot {
-  std::vector<MetricSample> samples;  // sorted by name
+  std::vector<MetricSample> samples;  // sorted by name, one per name
   std::vector<HistogramSnapshot> histograms;
 
   bool Has(const std::string& name) const;
@@ -153,80 +83,103 @@ struct MetricsSnapshot {
   std::string FormatPrometheusText() const;
 };
 
+class MetricSet;
+
 class MetricsRegistry {
  public:
-  MetricsRegistry();
+  MetricsRegistry() = default;
 
-  // The process-wide registry every subsystem reports into.
+  // The process-wide list every MetricSet joins by default.
   static MetricsRegistry& Global();
 
-  // Creates or fetches the named instrument. Returned pointers stay valid for
-  // the registry's lifetime (ResetForTest zeroes values, never frees). A name
-  // registered as one kind must not be reused as another.
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  // `bounds` applies only on first creation.
-  Histogram* GetHistogram(const std::string& name, std::vector<double> bounds);
-
-  // Snapshot-time adapters for pre-existing subsystem counters. The callback
-  // appends fully-named samples; it runs without the registry lock held, so
-  // it may take its subsystem's own locks freely.
-  using CollectorFn = std::function<void(std::vector<MetricSample>&)>;
-  uint64_t RegisterCollector(CollectorFn fn);
-  void UnregisterCollector(uint64_t id);
-
+  // Every live set's series; same-named series are summed (histograms
+  // bucket by bucket, so same-named histograms must share their bounds).
   MetricsSnapshot Snapshot() const;
   std::string FormatPrometheusText() const { return Snapshot().FormatPrometheusText(); }
 
-  // Zeroes every native instrument (pointers stay valid) and leaves
-  // collectors untouched; for test isolation.
-  void ResetForTest();
-
  private:
+  friend class MetricSet;
+
   mutable Mutex mutex_{"MetricsRegistry::mutex_"};
-  std::unordered_map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mutex_);
-  std::unordered_map<uint64_t, CollectorFn> collectors_ GUARDED_BY(mutex_);
-  uint64_t next_collector_id_ GUARDED_BY(mutex_) = 1;
+  std::vector<const MetricSet*> sets_ GUARDED_BY(mutex_);
 };
 
-// RAII collector registration: unhooks in the destructor, so a subsystem can
-// hold one as its last member and never leave a dangling callback behind.
-class ScopedCollector {
+// One owner's series. Joining the registry takes its lock once; destroying
+// the set takes them out of every later snapshot. Declare the set after the
+// state its gauges read (so it leaves the registry before that state dies)
+// and before the members that hold references to its cells.
+//
+// Declaring takes no lock: declare from one thread at a time (owners declare
+// in their constructors) while snapshots read concurrently. A series and its
+// cell are published by one release store, and never move.
+class MetricSet {
  public:
-  ScopedCollector() = default;
-  ScopedCollector(MetricsRegistry* registry, MetricsRegistry::CollectorFn fn)
-      : registry_(registry), id_(registry->RegisterCollector(std::move(fn))) {}
-  ~ScopedCollector() { Release(); }
+  explicit MetricSet(MetricsRegistry& registry = MetricsRegistry::Global());
+  ~MetricSet();
 
-  ScopedCollector(ScopedCollector&& other) noexcept
-      : registry_(other.registry_), id_(other.id_) {
-    other.registry_ = nullptr;
-    other.id_ = 0;
-  }
-  ScopedCollector& operator=(ScopedCollector&& other) noexcept {
-    if (this != &other) {
-      Release();
-      registry_ = other.registry_;
-      id_ = other.id_;
-      other.registry_ = nullptr;
-      other.id_ = 0;
-    }
-    return *this;
-  }
-  ScopedCollector(const ScopedCollector&) = delete;
-  ScopedCollector& operator=(const ScopedCollector&) = delete;
+  MetricSet(const MetricSet&) = delete;
+  MetricSet& operator=(const MetricSet&) = delete;
+
+  // Every `name` must be a string literal: the set keeps the pointer.
+  std::atomic<uint64_t>& AddCounter(const char* name);
+  // A duration in nanoseconds, exported as a counter in seconds.
+  std::atomic<int64_t>& AddNanos(const char* name);
+  // The same for an account kept elsewhere that outlives the set (the
+  // latency model's); returns the account.
+  std::atomic<int64_t>& AddNanos(const char* name, std::atomic<int64_t>& account);
+  // A value computed when read. `read` runs under the registry lock, so it
+  // may take its owner's locks but must not take one that is held while a
+  // MetricSet is built or destroyed.
+  void AddGauge(const char* name, std::function<double()> read);
+  Histogram& AddHistogram(const char* name, std::vector<double> bounds);
+
+  // This set's own value of a counter or gauge (0 if undeclared).
+  double Value(std::string_view name) const;
 
  private:
-  void Release() {
-    if (registry_ != nullptr) {
-      registry_->UnregisterCollector(id_);
-      registry_ = nullptr;
-    }
-  }
-  MetricsRegistry* registry_ = nullptr;
-  uint64_t id_ = 0;
+  friend class MetricsRegistry;
+
+  enum class Kind : uint8_t { kCounter, kNanos, kGauge, kHistogram };
+  // Fields stay uninitialized until the slot is declared, so a block's
+  // unused slots are never touched. A gauge's function is destroyed with the
+  // set.
+  struct Series {
+    Series() {}
+    ~Series() {}
+    const char* name;
+    Kind kind;
+    union {
+      std::atomic<uint64_t> count;  // kCounter
+      std::atomic<int64_t> nanos;   // kNanos declared without an account
+    };
+    union {
+      const std::atomic<int64_t>* account;  // kNanos: `nanos` or one kept elsewhere
+      std::function<double()> read;         // kGauge
+      const Histogram* hist;                // kHistogram
+    };
+  };
+  // Series live in fixed-size blocks, so declaring one never moves another.
+  static constexpr size_t kBlockSize = 16;
+  struct Block {
+    std::array<Series, kBlockSize> series;
+    std::unique_ptr<Block> next;
+  };
+
+  // The next unpublished slot (declaring thread only), and its publication.
+  Series& Next(const char* name, Kind kind);
+  void Publish();
+  // Calls f on every published series, in declaration order.
+  template <typename F>
+  void ForEach(F f) const;
+  static double Read(const Series& s);
+  void AppendTo(MetricsSnapshot& snap) const;
+
+  MetricsRegistry& registry_;
+  Block head_;
+  Block* tail_ = &head_;              // declaring thread only
+  size_t declared_ = 0;               // declaring thread only
+  std::atomic<size_t> published_{0};  // series snapshots may read
+  std::vector<std::unique_ptr<Histogram>> histograms_;  // declaring thread only
 };
 
 }  // namespace flint

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "src/common/stats.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace flint {
@@ -106,11 +105,7 @@ std::vector<MarketEvaluation> ServerSelector::EvaluateMarkets(
       ++degenerate;
     }
   }
-  if (degenerate > 0) {
-    MetricsRegistry::Global()
-        .GetCounter("flint_select_degenerate_evaluations")
-        ->Increment(degenerate);
-  }
+  degenerate_evaluations_.fetch_add(degenerate, std::memory_order_relaxed);
   std::sort(out.begin(), out.end(), [](const MarketEvaluation& a, const MarketEvaluation& b) {
     const double ca = RankCost(a);
     const double cb = RankCost(b);

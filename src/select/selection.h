@@ -30,6 +30,7 @@
 #include "src/common/thread_annotations.h"
 #include "src/common/units.h"
 #include "src/market/marketplace.h"
+#include "src/obs/metrics.h"
 
 namespace flint {
 
@@ -140,6 +141,11 @@ class ServerSelector {
   // read-only evaluator; leaf lock (never held while calling out).
   mutable Mutex link_mutex_{"ServerSelector::link_mutex_"};
   std::unordered_map<MarketId, double> link_ewma_ GUARDED_BY(link_mutex_);
+
+  MetricSet metrics_;
+  // Market evaluations whose rank cost came out non-finite.
+  std::atomic<uint64_t>& degenerate_evaluations_ =
+      metrics_.AddCounter("flint_select_degenerate_evaluations");
 };
 
 }  // namespace flint

@@ -7,7 +7,6 @@
 #include "src/checkpoint/checkpoint_policy.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/obs/metrics.h"
 
 namespace flint {
 
@@ -86,11 +85,6 @@ McResult SimulateCanonicalJob(const CanonicalJob& job, const McConfig& config) {
     const double factor = elapsed / job.base_hours;
     factor_stats.Add(factor);
     factors.push_back(factor);
-  }
-  if (truncated > 0) {
-    MetricsRegistry::Global()
-        .GetCounter("flint_mc_truncated_trials")
-        ->Increment(static_cast<uint64_t>(truncated));
   }
 
   McResult result;

@@ -40,17 +40,14 @@ TEST(ShuffleRegistryTest, ZeroMapShuffleIsCompleteAndFetchable) {
 }
 
 TEST(ShuffleRegistryTest, ConflictingReregistrationKeepsFirstShape) {
-  MetricsRegistry::Global().ResetForTest();
-  Counter* reregistered =
-      MetricsRegistry::Global().GetCounter("flint_shuffle_reregistered");
   ShuffleManager sm;
   sm.RegisterShuffle(1, /*num_maps=*/2, /*num_reduces=*/2);
   sm.RegisterShuffle(1, /*num_maps=*/5, /*num_reduces=*/9);  // differing duplicate
-  EXPECT_EQ(reregistered->Value(), 1u);
+  EXPECT_EQ(sm.metrics().Value("flint_shuffle_reregistered"), 1.0);
   // First registration wins: still 2 map slots, not 5.
   EXPECT_EQ(sm.MissingMaps(1).size(), 2u);
   sm.RegisterShuffle(1, 2, 2);  // identical duplicate: clean no-op
-  EXPECT_EQ(reregistered->Value(), 1u);
+  EXPECT_EQ(sm.metrics().Value("flint_shuffle_reregistered"), 1.0);
 }
 
 TEST(ShuffleRegistryTest, UnknownShuffleFetchIsDataLossAndCounted) {
@@ -58,7 +55,7 @@ TEST(ShuffleRegistryTest, UnknownShuffleFetchIsDataLossAndCounted) {
   EXPECT_FALSE(sm.IsComplete(99));
   auto buckets = sm.Fetch(99, 0);
   EXPECT_FALSE(buckets.ok());
-  EXPECT_EQ(sm.FetchWaits(), 1u);
+  EXPECT_EQ(sm.metrics().Value("flint_shuffle_fetch_waits"), 1.0);
 }
 
 TEST(EngineEdgeTest, EmptyRddThroughFullPipeline) {

@@ -102,6 +102,24 @@ TEST(LatencyModelTest, EachLayerIsChargedToItsOwnAccount) {
   EXPECT_LT(ThreadWaitedSeconds() - waited0, total + 1.0);
 }
 
+// The last 200 us of a wait yield instead of sleeping; a wait still lasts
+// its whole length, cancellable or not.
+TEST(LatencyModelTest, ShortWaitsLastTheirWholeLength) {
+  for (const bool cancellable : {false, true}) {
+    for (const double seconds : {5e-6, 20e-6, 150e-6, 450e-6, 2.5e-3}) {
+      const double waited0 = ThreadWaitedSeconds();
+      const WallTime t0 = WallClock::now();
+      double waited = 0.0;
+      const Status st = cancellable ? WaitSeconds(seconds, [] { return false; }, &waited)
+                                    : WaitSeconds(seconds, nullptr, &waited);
+      EXPECT_TRUE(st.ok());
+      EXPECT_GE(SecondsSince(t0), seconds) << seconds;
+      EXPECT_GE(ThreadWaitedSeconds() - waited0, seconds) << seconds;
+      EXPECT_DOUBLE_EQ(waited, seconds);
+    }
+  }
+}
+
 // BackoffSeconds replaced four hand-written formulas; each must keep its
 // exact values, caps included.
 TEST(LatencyModelTest, BackoffMatchesTheFormulasItReplaced) {
@@ -201,7 +219,7 @@ void RunSpillAndCheckpointJob(bool model_latency) {
   ASSERT_GT(cluster.dfs().BytesRead(), 0u);
   uint64_t spills = 0;
   for (const auto& node : cluster.ctx().LiveNodeStates()) {
-    spills += node->blocks->GetCacheCounters().spills;
+    spills += static_cast<uint64_t>(node->blocks->metrics().Value("flint_block_spills"));
   }
   ASSERT_GT(spills, 0u);
 

@@ -5,12 +5,13 @@
 
 namespace flint {
 
-void RegisterMetrics(MetricsRegistry& reg) {
-  reg.GetCounter("tasks_total");                 // finding: no flint_ prefix
-  reg.GetCounter("flint_engine_tasks_total");    // clean
-  reg.GetGauge("flint_bogus_queue_depth");       // finding: unknown subsystem
-  reg.GetHistogram("flint_Engine_task_seconds")  // finding: not lower-case
-      ->Observe(1.0);
+void DeclareMetrics(MetricSet& set) {
+  set.AddCounter("tasks_total");                      // finding: no flint_ prefix
+  set.AddCounter("flint_engine_tasks_total");         // clean
+  set.AddNanos("task_wait_seconds");                  // finding: no flint_ prefix
+  set.AddGauge("flint_bogus_queue_depth", Depth);     // finding: unknown subsystem
+  set.AddHistogram("flint_Engine_task_seconds", {})   // finding: not lower-case
+      .Observe(1.0);
 }
 
 void EmitTraces(Tracer& tracer) {

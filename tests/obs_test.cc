@@ -235,27 +235,40 @@ class JsonParser {
 };
 
 // ---------------------------------------------------------------------------
-// Registry instruments under contention.
+// Metric sets under contention.
 
-TEST(ObsMetricsTest, CounterSumsStripesAcrossEightThreads) {
-  Counter counter;
+// Eight writers bump one set counter while a reader snapshots the registry:
+// no increment is lost, and every snapshot sees a value in range.
+TEST(ObsMetricsTest, SetCounterCountsEveryIncrementFromEightThreads) {
+  MetricsRegistry registry;
+  MetricSet set(registry);
+  std::atomic<uint64_t>& counter = set.AddCounter("flint_test_events");
   constexpr int kThreads = 8;
   constexpr uint64_t kPerThread = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const double v = registry.Snapshot().Value("flint_test_events");
+      EXPECT_GE(v, 0.0);
+      EXPECT_LE(v, static_cast<double>(kThreads * kPerThread));
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&counter] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        counter.Increment();
+        counter.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (auto& th : threads) {
     th.join();
   }
-  EXPECT_EQ(counter.Value(), kThreads * kPerThread);
-  counter.Reset();
-  EXPECT_EQ(counter.Value(), 0u);
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(registry.Snapshot().Value("flint_test_events"),
+            static_cast<double>(kThreads * kPerThread));
 }
 
 TEST(ObsMetricsTest, HistogramBucketsAndSumSurviveContention) {
@@ -289,40 +302,55 @@ TEST(ObsMetricsTest, HistogramBucketsAndSumSurviveContention) {
               1e-6 * static_cast<double>(per_bucket));
 }
 
-TEST(ObsMetricsTest, RegistryReturnsStablePointersAndResetKeepsThem) {
-  MetricsRegistry registry;
-  Counter* a = registry.GetCounter("flint_test_counter");
-  Counter* b = registry.GetCounter("flint_test_counter");
-  EXPECT_EQ(a, b);
-  a->Increment(5);
-  registry.ResetForTest();
-  // Pointers stay valid after reset; values are zeroed.
-  EXPECT_EQ(b->Value(), 0u);
-  b->Increment();
-  EXPECT_EQ(registry.Snapshot().Value("flint_test_counter"), 1.0);
-}
-
-TEST(ObsMetricsTest, ScopedCollectorUnhooksOnDestruction) {
+TEST(ObsMetricsTest, SetSeriesLeaveTheSnapshotWithTheSet) {
   MetricsRegistry registry;
   {
-    ScopedCollector collector(&registry, [](std::vector<MetricSample>& out) {
-      out.push_back({"flint_test_collected", MetricType::kGauge, 42.0});
-    });
+    MetricSet set(registry);
+    set.AddCounter("flint_test_events").fetch_add(2);
+    set.AddGauge("flint_test_level", [] { return 42.0; });
+    set.AddHistogram("flint_test_latency", {1.0}).Observe(0.5);
     const MetricsSnapshot snap = registry.Snapshot();
-    EXPECT_TRUE(snap.Has("flint_test_collected"));
-    EXPECT_DOUBLE_EQ(snap.Value("flint_test_collected"), 42.0);
+    EXPECT_EQ(snap.Value("flint_test_events"), 2.0);
+    EXPECT_DOUBLE_EQ(snap.Value("flint_test_level"), 42.0);
+    EXPECT_EQ(snap.histograms.size(), 1u);
   }
-  EXPECT_FALSE(registry.Snapshot().Has("flint_test_collected"));
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_TRUE(snap.samples.empty());
+  EXPECT_TRUE(snap.histograms.empty());
+}
+
+TEST(ObsMetricsTest, SameNamedSeriesFromLiveSetsAreSummed) {
+  MetricsRegistry registry;
+  MetricSet a(registry);
+  MetricSet b(registry);
+  a.AddCounter("flint_test_events").fetch_add(3);
+  b.AddCounter("flint_test_events").fetch_add(4);
+  a.AddNanos("flint_test_wait_seconds").fetch_add(500'000'000);
+  b.AddNanos("flint_test_wait_seconds").fetch_add(250'000'000);
+  a.AddHistogram("flint_test_latency", {1.0}).Observe(0.5);
+  b.AddHistogram("flint_test_latency", {1.0}).Observe(2.0);
+  const MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.samples.size(), 2u);
+  EXPECT_EQ(snap.Value("flint_test_events"), 7.0);
+  EXPECT_DOUBLE_EQ(snap.Value("flint_test_wait_seconds"), 0.75);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].counts, (std::vector<uint64_t>{1, 1}));
+  EXPECT_EQ(snap.histograms[0].total_count, 2u);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].sum, 2.5);
+  // Each set still reads its own value.
+  EXPECT_EQ(a.Value("flint_test_events"), 3.0);
+  EXPECT_EQ(b.Value("flint_test_events"), 4.0);
 }
 
 TEST(ObsMetricsTest, PrometheusTextHasTypedFamiliesAndCumulativeBuckets) {
   MetricsRegistry registry;
-  registry.GetCounter("flint_test_events")->Increment(3);
-  registry.GetGauge("flint_test_level")->Set(1.5);
-  Histogram* hist = registry.GetHistogram("flint_test_latency", {0.1, 1.0});
-  hist->Observe(0.05);
-  hist->Observe(0.5);
-  hist->Observe(10.0);
+  MetricSet set(registry);
+  set.AddCounter("flint_test_events").fetch_add(3);
+  set.AddGauge("flint_test_level", [] { return 1.5; });
+  Histogram& hist = set.AddHistogram("flint_test_latency", {0.1, 1.0});
+  hist.Observe(0.05);
+  hist.Observe(0.5);
+  hist.Observe(10.0);
   const std::string text = registry.FormatPrometheusText();
   EXPECT_NE(text.find("# TYPE flint_test_events counter"), std::string::npos);
   EXPECT_NE(text.find("flint_test_events 3"), std::string::npos);
@@ -331,6 +359,56 @@ TEST(ObsMetricsTest, PrometheusTextHasTypedFamiliesAndCumulativeBuckets) {
   // Buckets are cumulative; +Inf carries the total.
   EXPECT_NE(text.find("flint_test_latency_bucket{le=\"+Inf\"} 3"), std::string::npos);
   EXPECT_NE(text.find("flint_test_latency_count 3"), std::string::npos);
+}
+
+// Two live clusters in one process export each series once, valued at the
+// sum of what each counted.
+TEST(ObsMetricsTest, TwoLiveClustersExportEachSeriesOnceAsTheirSum) {
+  EngineHarness a;
+  EngineHarness b;
+  std::vector<int> data(1000);
+  std::iota(data.begin(), data.end(), 0);
+  ASSERT_TRUE(Parallelize(&a.ctx(), data, 4).Collect().ok());
+  ASSERT_TRUE(Parallelize(&b.ctx(), data, 3).Collect().ok());
+
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  std::map<std::string, int> seen;
+  for (const MetricSample& s : snap.samples) {
+    ++seen[s.name];
+  }
+  for (const HistogramSnapshot& h : snap.histograms) {
+    ++seen[h.name];
+  }
+  for (const auto& [name, n] : seen) {
+    EXPECT_EQ(n, 1) << name;
+  }
+  const uint64_t tasks =
+      a.ctx().counters().tasks_run.load() + b.ctx().counters().tasks_run.load();
+  EXPECT_EQ(tasks, 7u);
+  EXPECT_EQ(snap.Value("flint_engine_tasks_run"), static_cast<double>(tasks));
+  EXPECT_EQ(snap.Value("flint_engine_partitions_computed"),
+            static_cast<double>(a.ctx().counters().partitions_computed.load() +
+                                b.ctx().counters().partitions_computed.load()));
+}
+
+// A retry one cluster counts goes with that cluster: the next cluster built
+// in the same process starts from zero.
+TEST(ObsMetricsTest, RetryCountedByOneClusterIsNotSeenByTheNext) {
+  {
+    EngineHarness h;
+    FaultPlan plan;
+    plan.events.push_back(FailWritesAt(EnginePoint::kDfsPut, /*after_hits=*/0, "", 1));
+    FaultInjector injector(&h.cluster(), plan, &h.dfs());
+    auto rdd = Parallelize(&h.ctx(), std::vector<int>{1, 2, 3}, 1);
+    auto parts = h.ctx().Materialize(rdd.raw());
+    ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+    ASSERT_TRUE(h.ctx().WriteCheckpointData(rdd.raw(), 0, parts->front()).ok());
+    EXPECT_EQ(MetricsRegistry::Global().Snapshot().Value("flint_dfs_retry_attempts"), 1.0);
+  }
+  EngineHarness next;
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_TRUE(snap.Has("flint_dfs_retry_attempts"));
+  EXPECT_EQ(snap.Value("flint_dfs_retry_attempts"), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,7 +540,6 @@ TEST(ObsTraceTest, TraceSpanRecordsCompleteEventWithArgs) {
 class ObsEndToEndTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    MetricsRegistry::Global().ResetForTest();
     Tracer::Global().Configure(ObsConfig{.tracing = true, .trace_capacity = 1 << 16});
   }
   void TearDown() override { Tracer::Global().Configure(ObsConfig{}); }
@@ -534,8 +611,8 @@ TEST_F(ObsEndToEndTest, StormRunTraceMatchesEngineCounters) {
     recomputes = h.ctx().counters().partitions_recomputed.load();
     ASSERT_EQ(revocations, 4u);
 
-    // While the context is alive its collector feeds the registry: every
-    // silo must surface under the unified namespace.
+    // While the cluster is alive its owners' sets feed the registry: every
+    // subsystem must surface under the unified namespace.
     const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
     for (const char* name :
          {"flint_engine_tasks_run", "flint_engine_partitions_computed",

@@ -441,16 +441,15 @@ TEST_F(SlowLinkTest, FetchHistogramResolvesSubMillisecondPulls) {
   EngineHarness h{EngineHarnessOptions{.model_latency = true,
                                        .link_bandwidth_bytes_per_s = 64.0 * kMiB}};
   ASSERT_EQ(WideCounts(&h.ctx(), kPairs, kPairs, 4, 4).size(), static_cast<size_t>(kPairs));
-  // The fetch path registered the histogram; this lookup only finds it.
-  Histogram* hist = MetricsRegistry::Global().GetHistogram("flint_net_fetch_seconds", {});
-  ASSERT_FALSE(hist->bounds().empty());
-  EXPECT_DOUBLE_EQ(hist->bounds().front(), 1e-5);
+  const Histogram& hist = h.ctx().counters().net_fetch_seconds;
+  ASSERT_FALSE(hist.bounds().empty());
+  EXPECT_DOUBLE_EQ(hist.bounds().front(), 1e-5);
 
-  const std::vector<uint64_t> before = hist->Counts();
+  const std::vector<uint64_t> before = hist.Counts();
   ASSERT_EQ(WideCounts(&h.ctx(), kPairs, kPairs, 4, 4).size(), static_cast<size_t>(kPairs));
-  const std::vector<uint64_t> after = hist->Counts();
+  const std::vector<uint64_t> after = hist.Counts();
   uint64_t sub_ms = 0;  // pulls that waited (10 us, 1 ms]
-  for (size_t b = 1; b < hist->bounds().size() && hist->bounds()[b] <= 1e-3; ++b) {
+  for (size_t b = 1; b < hist.bounds().size() && hist.bounds()[b] <= 1e-3; ++b) {
     sub_ms += after[b] - before[b];
   }
   EXPECT_GT(sub_ms, 0u);
@@ -459,7 +458,8 @@ TEST_F(SlowLinkTest, FetchHistogramResolvesSubMillisecondPulls) {
 // Concurrency hammer over the shuffle map-output tracker: registrations,
 // detailed fetches, node revocations, and targeted output drops race while
 // readers poll the aggregate views. Every kDataLoss the fetchers observe
-// must be accounted in FetchWaits() — no lost increments, no phantom waits.
+// must be counted in flint_shuffle_fetch_waits — no lost increments, no
+// phantom waits.
 // (Runs under TSan via the sanitizer test filter.)
 TEST(ShuffleConcTest, ConcurrentFetchDropRevokeAccounting) {
   constexpr int kShuffle = 1;
@@ -536,7 +536,8 @@ TEST(ShuffleConcTest, ConcurrentFetchDropRevokeAccounting) {
   stop.store(true, std::memory_order_release);
   threads.back().join();
 
-  EXPECT_EQ(sm.FetchWaits(), data_losses.load());
+  EXPECT_EQ(sm.metrics().Value("flint_shuffle_fetch_waits"),
+            static_cast<double>(data_losses.load()));
   // Settle to a complete state and prove the tracker recovered.
   register_all();
   EXPECT_TRUE(sm.IsComplete(kShuffle));

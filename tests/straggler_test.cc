@@ -493,11 +493,10 @@ TEST_F(StragglerTest, FusedChainBitIdenticalUnderSpeculation) {
   EXPECT_GT(h.ctx().counters().fused_chains.load(), 0u);
 }
 
-// Cross-stage quantile carry-over (SpeculationConfig::seed_from_previous_
-// stage): a stage with fewer tasks than the quorum can never arm deadlines
-// from its own samples, so it arms from the previous stage's carried P50.
-// The counter proves the seeded arming happened; the off-switch control
-// proves it is attributable to the carry-over.
+// Cross-stage quantile carry-over: a stage with fewer tasks than the quorum
+// can never arm deadlines from its own samples, so it arms from the previous
+// stage's carried P50. The counter proves the seeded arming happened; the
+// fresh-context control proves it is attributable to the carry-over.
 TEST_F(StragglerTest, CarriedQuantileArmsSubQuorumStage) {
   {
     SpeculationConfig spec = FastSpec(true);  // quorum = 3
@@ -511,10 +510,9 @@ TEST_F(StragglerTest, CarriedQuantileArmsSubQuorumStage) {
     EXPECT_GE(h.ctx().counters().stage_quantile_seeded.load(), 1u);
   }
   {
-    SpeculationConfig spec = FastSpec(true);
-    spec.seed_from_previous_stage = false;
-    EngineHarness h{EngineHarnessOptions{.speculation = spec}};
-    ASSERT_EQ(SleepyCollect(&h.ctx(), 12, /*task_ms=*/5).size(), 12u);
+    // Control: a fresh context's 2-task stage has no carried distribution,
+    // so it seeds nothing.
+    EngineHarness h{EngineHarnessOptions{.speculation = FastSpec(true)}};
     ASSERT_EQ(SleepyCollect(&h.ctx(), 2, /*task_ms=*/5).size(), 2u);
     EXPECT_EQ(h.ctx().counters().stage_quantile_seeded.load(), 0u);
   }

@@ -38,7 +38,8 @@
 #            benchmark WARNS but never fails the run: wall-clock numbers vary
 #            across machines, and the baseline is refreshed deliberately with
 #            tools/bench.sh after intentional performance changes.
-#   obs-trace  flintctl storm run (6 nodes, 3 revocations) with --trace-out /
+#   obs-trace  flintctl storm run (6 nodes, 3 mid-job revocations, 16 MiB/s
+#            modelled links) with --trace-out /
 #            --metrics-out, then tools/flint-report --validate proves the
 #            export is well-formed Chrome trace JSON containing stage,
 #            checkpoint (with delta + tau args), revocation, and
@@ -246,7 +247,12 @@ run_obs_storm() {
     record obs-trace "FAIL (build)"
     return
   fi
+  # --failures lands its revocation warnings at a fixed task count, and the
+  # 16 MiB/s modelled links stretch every shuffle fetch by a fixed wait, so
+  # the job outlasts the warning window and a checkpoint commit however
+  # fast the build runs the CPU work.
   if ! ./build/tools/flintctl run --workload pagerank --nodes 6 --failures 3 \
+       --link-bandwidth 16 \
        --trace-out "${out}/storm-trace.json" \
        --metrics-out "${out}/storm-metrics.prom"; then
     record obs-trace "FAIL (storm run)"

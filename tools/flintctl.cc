@@ -255,25 +255,25 @@ int CmdRun(const Args& args) {
     options.engine.default_link_bandwidth_bytes_per_s =
         args.GetDouble("link-bandwidth", 512.0) * 1024.0 * 1024.0;
   }
-  // Scripted straggler injection, replayable via the printed seed: the plan's
+  // Scripted fault injection, replayable via the printed seed: the plan's
   // RNG (flaky coin flips) derives from it. Node pick is by ordinal over live
   // node ids at fire time.
-  FaultPlan straggler_plan;
-  straggler_plan.seed = options.seed;
+  FaultPlan plan;
+  plan.seed = options.seed;
   if (args.Given("slow-node")) {
-    straggler_plan.events.push_back(
+    plan.events.push_back(
         SlowNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
                    static_cast<int>(args.GetInt("slow-node", 0)),
                    args.GetDouble("slow-factor", 8.0), args.GetDouble("fault-secs", 30.0)));
   }
   if (args.Given("hang-tasks")) {
-    straggler_plan.events.push_back(
+    plan.events.push_back(
         HangTaskAt(EnginePoint::kTaskRun, /*after_hits=*/0,
                    static_cast<int>(args.GetInt("hang-node", 0)),
                    static_cast<int>(args.GetInt("hang-tasks", 1))));
   }
   if (args.Given("flaky-node")) {
-    straggler_plan.events.push_back(
+    plan.events.push_back(
         FlakyNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
                     static_cast<int>(args.GetInt("flaky-node", 0)),
                     args.GetDouble("flaky-prob", 0.5), args.GetDouble("fault-secs", 30.0)));
@@ -281,12 +281,23 @@ int CmdRun(const Args& args) {
   if (args.Given("slow-link")) {
     // Armed at the first scheduler round so the window covers the whole run:
     // every fetch from the victim's link sees the degraded bandwidth.
-    straggler_plan.events.push_back(
+    plan.events.push_back(
         SlowLinkAt(EnginePoint::kSchedulerRound, /*after_hits=*/0,
                    static_cast<int>(args.GetInt("slow-link", 0)),
                    args.GetDouble("link-factor", 4.0), args.GetDouble("fault-secs", 30.0)));
   }
   const int failures = static_cast<int>(args.GetInt("failures", 0));
+  if (failures > 0) {
+    // The storm lands mid-job at a fixed engine point, not after a wall-clock
+    // delay, so it hits the job however fast the build runs it: the
+    // lowest-id `failures` nodes get a revocation warning as the 101st task
+    // attempt starts. Every workload runs at least 200 attempts. The node
+    // manager provisions the replacements, as after a market revocation.
+    FaultEvent storm = RevokeCountAt(EnginePoint::kTaskRun, /*after_hits=*/100, failures,
+                                     /*with_warning=*/true, /*delay_seconds=*/0.0);
+    storm.replacement_count = 0;
+    plan.events.push_back(storm);
+  }
   if (!args.error().empty()) {
     return BadFlag(args.error());
   }
@@ -304,22 +315,9 @@ int CmdRun(const Args& args) {
   const std::string workload = args.Get("workload", "pagerank");
   const uint64_t seed = options.seed;
   std::unique_ptr<FaultInjector> injector;
-  if (!straggler_plan.events.empty()) {
-    injector = std::make_unique<FaultInjector>(&cluster.cluster(), straggler_plan);
+  if (!plan.events.empty()) {
+    injector = std::make_unique<FaultInjector>(&cluster.cluster(), plan);
     cluster.ctx().SetProbe(injector.get());
-  }
-  std::thread chaos;
-  if (failures > 0) {
-    chaos = std::thread([&cluster, failures] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(800));
-      std::vector<NodeId> victims;
-      for (const auto& node : cluster.cluster().LiveNodes()) {
-        if (static_cast<int>(victims.size()) < failures) {
-          victims.push_back(node.node_id);
-        }
-      }
-      cluster.cluster().Revoke(victims, /*with_warning=*/true);
-    });
   }
   JobReport report = cluster.RunMeasured([&workload, seed](FlintContext& ctx) -> Status {
     if (workload == "kmeans") {
@@ -380,14 +378,15 @@ int CmdRun(const Args& args) {
     cluster.ctx().SetProbe(nullptr);
     injector->Drain();
     const FaultInjector::Stats fs = injector->GetStats();
-    std::printf("injected: %llu slowed, %llu hung, %llu failed, %llu fetches slowed\n",
-                static_cast<unsigned long long>(fs.tasks_slowed),
-                static_cast<unsigned long long>(fs.tasks_hung_injected),
-                static_cast<unsigned long long>(fs.tasks_failed_injected),
-                static_cast<unsigned long long>(fs.fetches_slowed));
+    std::printf(
+        "injected: %llu revoked, %llu slowed, %llu hung, %llu failed, %llu fetches slowed\n",
+        static_cast<unsigned long long>(fs.nodes_revoked),
+        static_cast<unsigned long long>(fs.tasks_slowed),
+        static_cast<unsigned long long>(fs.tasks_hung_injected),
+        static_cast<unsigned long long>(fs.tasks_failed_injected),
+        static_cast<unsigned long long>(fs.fetches_slowed));
   }
-  if (chaos.joinable()) {
-    chaos.join();
+  if (failures > 0) {
     // The injected revocations trail their warnings by the model warning
     // window; let them (and the replacement churn) land so the export shows
     // the full storm, not just its leading edge.
@@ -396,7 +395,7 @@ int CmdRun(const Args& args) {
         static_cast<int>(warning_s * 1000.0) + 200));
     cluster.cluster().DrainEvents();
   }
-  // Export while the cluster (and its metric collectors) is still alive; a
+  // Export while the cluster (and its metric sets) is still alive; a
   // failed run's telemetry is exactly what you want to look at.
   if (!trace_out.empty()) {
     const Tracer::Stats stats = Tracer::Global().GetStats();
