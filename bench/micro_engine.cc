@@ -35,14 +35,10 @@ void BM_MapCollect(benchmark::State& state) {
 // pools do the work, so its CPU time says nothing about throughput.
 BENCHMARK(BM_MapCollect)->Arg(1 << 14)->Arg(1 << 17)->UseRealTime();
 
-// The fused/unfused pair tracks the narrow-chain hot path (fusion.h): the
-// same Map->Map->Filter->Count job with operator fusion on and off. The
-// tracked ratio (items/s) is the headline number for the fusion work; the
-// bench baseline gate (tools/check.sh --bench) watches both.
-void RunNarrowChain(benchmark::State& state, bool fusion) {
-  testing::EngineHarnessOptions options;
-  options.operator_fusion = fusion;
-  testing::EngineHarness h{options};
+// The narrow-chain hot path (TaskContext::RunChain): a Map->Map->Filter->Count
+// job whose two lower operators stream through without building a partition.
+void RunNarrowChain(benchmark::State& state) {
+  testing::EngineHarness h;
   std::vector<int64_t> data(static_cast<size_t>(state.range(0)));
   std::iota(data.begin(), data.end(), 0);
   auto base = Parallelize(&h.ctx(), data, 8);
@@ -58,11 +54,8 @@ void RunNarrowChain(benchmark::State& state, bool fusion) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_NarrowChainFused(benchmark::State& state) { RunNarrowChain(state, true); }
+void BM_NarrowChainFused(benchmark::State& state) { RunNarrowChain(state); }
 BENCHMARK(BM_NarrowChainFused)->Arg(1 << 20)->UseRealTime();
-
-void BM_NarrowChainUnfused(benchmark::State& state) { RunNarrowChain(state, false); }
-BENCHMARK(BM_NarrowChainUnfused)->Arg(1 << 20)->UseRealTime();
 
 // Same fused chain with the global tracer enabled. The --obs leg of
 // tools/check.sh compares this against BM_NarrowChainFused and asserts the
@@ -73,7 +66,7 @@ void BM_NarrowChainFusedTraced(benchmark::State& state) {
   obs.tracing = true;
   obs.trace_capacity = 1 << 16;
   ConfigureObservability(obs);
-  RunNarrowChain(state, true);
+  RunNarrowChain(state);
   ConfigureObservability(ObsConfig{});
 }
 BENCHMARK(BM_NarrowChainFusedTraced)->Arg(1 << 20)->UseRealTime();
@@ -138,15 +131,11 @@ void BM_ReduceByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_ReduceByKey)->Arg(1 << 14)->Arg(1 << 16)->UseRealTime();
 
-// The wide-stage analogue of the narrow fused/unfused pair: a Map between
-// the cached source and the shuffle gives the fused bucket path a chain to
-// elide — with shuffle_fusion on, rows stream straight into the reduce-side
-// buckets and the map-side partition never materializes. The tracked ratio
-// (items/s) is the headline number for the shuffle-pipelining work.
-void RunShuffleChain(benchmark::State& state, bool shuffle_fusion) {
-  testing::EngineHarnessOptions options;
-  options.shuffle_fusion = shuffle_fusion;
-  testing::EngineHarness h{options};
+// The wide-stage analogue of the narrow chain: a Map between the cached
+// source and the shuffle streams its rows straight into the reduce-side
+// buckets, and the map-side partition is never built.
+void BM_ReduceByKeyFused(benchmark::State& state) {
+  testing::EngineHarness h;
   std::vector<std::pair<int, int>> data;
   data.reserve(static_cast<size_t>(state.range(0)));
   for (int64_t i = 0; i < state.range(0); ++i) {
@@ -164,12 +153,7 @@ void RunShuffleChain(benchmark::State& state, bool shuffle_fusion) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_ReduceByKeyFused(benchmark::State& state) { RunShuffleChain(state, true); }
 BENCHMARK(BM_ReduceByKeyFused)->Arg(1 << 16)->UseRealTime();
-
-void BM_ReduceByKeyUnfused(benchmark::State& state) { RunShuffleChain(state, false); }
-BENCHMARK(BM_ReduceByKeyUnfused)->Arg(1 << 16)->UseRealTime();
 
 // Grouping without a combiner: dominated by the plain bucket sort plus the
 // reduce-side run merge (MergeGroupBuckets).
@@ -328,4 +312,23 @@ BENCHMARK(BM_ExpectedRuntimeFactor);
 }  // namespace
 }  // namespace flint
 
-BENCHMARK_MAIN();
+#ifndef FLINT_BENCH_BUILD_TYPE
+#define FLINT_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef FLINT_BENCH_COMPILER
+#define FLINT_BENCH_COMPILER "unknown"
+#endif
+
+// BENCHMARK_MAIN plus the build context tools/bench_baseline.py records as
+// the baseline's host (google-benchmark's own context gives num_cpus).
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("flint_build_type", FLINT_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("flint_compiler", FLINT_BENCH_COMPILER);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -8,6 +8,13 @@
 
 namespace flint {
 
+namespace {
+
+// Weight of the newest measured checkpoint round in the delta EWMA.
+constexpr double kDeltaEwmaAlpha = 0.5;
+
+}  // namespace
+
 FaultToleranceManager::FaultToleranceManager(FlintContext* ctx, CheckpointConfig config)
     : ctx_(ctx),
       config_(config),
@@ -444,8 +451,7 @@ void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition
   double tau = 0.0;
   {
     MutexLock lock(&mutex_);
-    delta_seconds_ = config_.delta_ewma_alpha * measured +
-                     (1.0 - config_.delta_ewma_alpha) * delta_seconds_;
+    delta_seconds_ = kDeltaEwmaAlpha * measured + (1.0 - kDeltaEwmaAlpha) * delta_seconds_;
     rdds_checkpointed_.fetch_add(1, std::memory_order_relaxed);
     delta_ewma = delta_seconds_;
     tau = TauSecondsLocked();

@@ -40,7 +40,6 @@ struct CheckpointConfig {
   // whole cluster memory must be written (Sec 3.1.2). Expressed directly in
   // engine seconds; refined online by an EWMA of measured round times.
   double initial_delta_seconds = 0.25;
-  double delta_ewma_alpha = 0.5;
   // kFixedInterval ablation.
   double fixed_interval_seconds = 2.0;
   bool shuffle_boost = true;

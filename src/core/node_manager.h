@@ -121,6 +121,7 @@ class NodeManager : public EngineObserver {
   // health scorer holds it in quarantine.
   double HealthScore(NodeId node) const;
   bool Quarantined(NodeId node) const;
+  const MetricSet& metrics() const { return metrics_; }
 
   // EngineObserver:
   void OnNodeWarning(const NodeInfo& node) override;

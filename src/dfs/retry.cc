@@ -12,13 +12,18 @@ namespace flint {
 
 namespace {
 
+// Each backoff is scaled by a uniform draw from [1 - kJitterFraction,
+// 1 + kJitterFraction], from an RNG seeded with the path hash xor kJitterSeed.
+constexpr double kJitterFraction = 0.25;
+constexpr uint64_t kJitterSeed = 0x9E3779B97F4A7C15ULL;
+
 bool Retryable(const Status& status) { return status.code() == StatusCode::kUnavailable; }
 
 // Shared attempt loop: `op` returns the status of one attempt. `kind` labels
 // the trace ("put"/"get").
 Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy& policy,
                  const std::function<Status()>& op, DfsRetryStats* stats) {
-  Rng jitter(std::hash<std::string>{}(path) ^ policy.jitter_seed);
+  Rng jitter(std::hash<std::string>{}(path) ^ kJitterSeed);
   const auto t0 = WallClock::now();
   const int max_attempts = std::max(1, policy.max_attempts);
   Status last = Status::Ok();
@@ -34,9 +39,7 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
     }
     double sleep_s = BackoffSeconds(attempt, policy.initial_backoff_seconds,
                                     policy.max_backoff_seconds, policy.backoff_multiplier);
-    if (policy.jitter_fraction > 0.0) {
-      sleep_s *= jitter.Uniform(1.0 - policy.jitter_fraction, 1.0 + policy.jitter_fraction);
-    }
+    sleep_s *= jitter.Uniform(1.0 - kJitterFraction, 1.0 + kJitterFraction);
     if (policy.deadline_seconds > 0.0) {
       const double elapsed = WallDuration(WallClock::now() - t0).count();
       if (elapsed + sleep_s >= policy.deadline_seconds) {

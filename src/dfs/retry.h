@@ -22,12 +22,9 @@ struct DfsRetryPolicy {
   double initial_backoff_seconds = 0.002;
   double backoff_multiplier = 2.0;
   double max_backoff_seconds = 0.1;
-  // Backoff is scaled by a uniform draw from [1-j, 1+j].
-  double jitter_fraction = 0.25;
   // Total elapsed budget across attempts and backoffs; once exceeded the
   // last failure is returned. <= 0 disables the deadline.
   double deadline_seconds = 1.0;
-  uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
 };
 
 // What one call did. Callers export it: attempts - 1 retries were made, and

@@ -72,16 +72,6 @@ struct EngineConfig {
   // wait — origin and remote cache reads, spill, DFS checkpoint I/O, shuffle
   // fetch — takes no time. Injected faults and retry backoff still wait.
   bool model_latency = true;
-  // Narrow-chain operator fusion (see fusion.h / DESIGN.md "Execution hot
-  // path"): chains of streaming one-to-one operators execute as one task
-  // without materializing intermediate partitions. Off switches every task
-  // back to per-level Compute, which benchmarks and differential tests use.
-  bool operator_fusion = true;
-  // Wide-stage pipelining (DESIGN.md "Execution hot path"): shuffle map
-  // tasks stream their narrow chain straight into the bucket sinks, eliding
-  // the map-side partition. Requires operator_fusion; off falls back to
-  // materialize-then-bucket (same sinks, bit-identical buckets).
-  bool shuffle_fusion = true;
   // Backoff/deadline applied to every checkpoint Put (partition objects and
   // manifests) and to verified restore reads. Transient DFS failures retry
   // inside this budget; exhausting it abandons the write (the FT manager's
@@ -151,8 +141,10 @@ struct EngineCounters {
   // submission was rejected.
   std::atomic<uint64_t>& stage_rounds = metrics.AddCounter("flint_engine_stage_rounds");
   std::atomic<uint64_t>& stage_parks = metrics.AddCounter("flint_engine_stage_parks");
-  // Operator-fusion accounting (narrow-chain streaming, see fusion.h): fused
-  // chain executions, and intermediate partitions not built.
+  // Chain accounting (TaskContext::RunChain): narrow chains that streamed
+  // through at least one intermediate, and RDD partitions streamed through
+  // without being built (a narrow chain's intermediates, every operator of
+  // a shuffle map side that streams into its buckets).
   std::atomic<uint64_t>& fused_chains = metrics.AddCounter("flint_fusion_fused_chains");
   std::atomic<uint64_t>& fused_operators_elided =
       metrics.AddCounter("flint_fusion_operators_elided");

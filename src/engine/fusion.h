@@ -1,30 +1,33 @@
-// Narrow-chain operator fusion: the record-streaming execution surface.
+// Record streaming: the one execution surface of the streaming operators.
 //
-// A chain of kNarrowOneToOne operators (Map -> Map -> Filter ...) whose
-// intermediate RDDs are neither cached, checkpoint-marked, nor multiply
-// referenced does not need to materialize a VectorPartition per level: every
-// level pays a full vector build plus a RecordBytes sizing pass plus the
-// GetPartition bookkeeping, only for the next level to iterate it once and
-// throw it away. Instead, TaskContext runs the whole chain as one fused task
-// that streams the barrier input through the composed closures into a single
-// output vector (see TaskContext::ComputeFromLineage and DESIGN.md
-// "Execution hot path").
+// Map, Filter, FlatMap, Sample and the Reduce partial fold are each defined
+// once, by a sink: a TypedSink that consumes the operator's input rows and
+// pushes its output rows into the sink below it. Everything else about the
+// operator is derived from that sink (rdd_internal::MakeStreamingRdd in
+// typed_rdd.h). Computing a partition is one run of TaskContext::RunChain:
+// the chain of streaming operators down to the first RDD that must be built
+// (a source, shuffle consumer, cached/marked RDD, or one with another live
+// consumer) is stacked as sinks, that barrier's partition is materialized
+// through the regular path, and its rows are driven through the stack into a
+// terminal. The terminal collects the head's output partition, or, at a
+// shuffle's map side, splits the rows into the reduce-side buckets. The
+// intermediate partitions are never built (see DESIGN.md "Execution hot
+// path").
 //
 // Execution is batched, not tuple-at-a-time: records flow through
 // TypedSink<T>::Push(const T*, size_t) in spans of kFusionBatchRows, so the
 // virtual dispatch is paid once per batch while the per-record loops inline
 // (the operator's functor is a template parameter of its sink) and the
-// intermediate batch buffers stay cache-resident — a Volcano-style
-// record-at-a-time Push was measurably slower than the materializing path it
-// replaced. Each sink reuses one batch buffer for the whole partition, which
-// is the memory the fusion elides: O(batch) per operator instead of O(rows).
+// intermediate batch buffers stay cache-resident; a record-at-a-time Push
+// measured slower than building every level's partition. Each sink reuses
+// one batch buffer for the whole partition: O(batch) per operator instead of
+// O(rows).
 //
-// The engine core is type-erased, so fusion is too: each streaming operator
-// attaches a FusionOps to its Rdd whose type knowledge lives inside
-// std::function closures built by the typed API (typed_rdd.h), exactly like
-// the Compute closures. The chain is torn down with exactly one Flush sweep
-// so buffering operators (per-partition folds) can emit their pending
-// output.
+// The engine core is type-erased, so the chain is too: each streaming
+// operator attaches a FusionOps to its Rdd whose type knowledge lives inside
+// the closure built by the typed API. A chain is torn down with exactly one
+// Flush sweep so buffering operators (per-partition folds) can emit their
+// pending output.
 
 #ifndef SRC_ENGINE_FUSION_H_
 #define SRC_ENGINE_FUSION_H_
@@ -57,9 +60,13 @@ class FusionSink {
 
   // End-of-stream. Operators that buffer (FoldSink) push their pending
   // output downstream here, then forward the Flush; pass-through operators
-  // just forward it. Exactly one Flush traverses a fused chain, initiated by
-  // the bottom operator's drive after the last input batch.
+  // just forward it. Exactly one Flush traverses a chain, issued by
+  // DriveRows after the last input batch.
   virtual void Flush() {}
+
+  // Streams every row of `input`, a materialized partition of this sink's
+  // input type, through the sink in kFusionBatchRows spans, then Flushes.
+  virtual void DriveRows(const PartitionData& input) = 0;
 };
 
 template <typename T>
@@ -68,6 +75,14 @@ class TypedSink : public FusionSink {
   // Consumes a batch of records. The span is only valid for the duration of
   // the call (it typically aliases the upstream sink's reused buffer).
   virtual void Push(const T* rec, size_t n) = 0;
+
+  void DriveRows(const PartitionData& input) final {
+    const std::vector<T>& rows = Rows<T>(input);
+    for (size_t off = 0; off < rows.size(); off += kFusionBatchRows) {
+      Push(rows.data() + off, std::min(kFusionBatchRows, rows.size() - off));
+    }
+    Flush();
+  }
 };
 
 // Debug-checked downcast, mirroring Rows<T>: the typed API guarantees the
@@ -78,11 +93,14 @@ TypedSink<T>& SinkAs(FusionSink& sink) {
   return static_cast<TypedSink<T>&>(sink);
 }
 
-// Collects the chain's final output rows; Finish() moves them into the
-// task's result partition.
+// Collects a chain's output rows; Finish() moves them into the task's result
+// partition. Reserve() pre-sizes the vector when the row count is known (a
+// chain of Maps emits exactly its input's rows), so the output is built in
+// one allocation.
 template <typename T>
 class CollectTerminal final : public TypedSink<T> {
  public:
+  void Reserve(size_t n) { rows_.reserve(n); }
   void Push(const T* rec, size_t n) override { rows_.insert(rows_.end(), rec, rec + n); }
   PartitionPtr Finish() { return MakePartition(std::move(rows_)); }
 
@@ -90,18 +108,10 @@ class CollectTerminal final : public TypedSink<T> {
   std::vector<T> rows_;
 };
 
-// Non-templated handle to a chain's terminal: the type-erased executor holds
-// the sink and calls finish() once the stream has been flushed.
-struct FusionTerminal {
-  std::unique_ptr<FusionSink> sink;
-  std::function<PartitionPtr()> finish;
-};
-
-// Terminal of a chain that feeds a shuffle (the wide-stage analogue of
-// FusionTerminal): the sink consumes the map-side record stream and finish()
-// emits the reduce-side buckets directly, so the map output partition is
-// never materialized. Built by a ShuffleInfo's bucket-sink factory
-// (typed_rdd.h); consumed by TaskContext::ComputeShuffleBuckets.
+// Terminal of a chain that feeds a shuffle: the sink consumes the map-side
+// record stream and finish() emits the reduce-side buckets. Built by a
+// ShuffleInfo's bucket-sink factory (typed_rdd.h); consumed by
+// TaskContext::ComputeShuffleBuckets.
 struct BucketTerminal {
   std::unique_ptr<FusionSink> sink;
   std::function<std::vector<PartitionPtr>()> finish;
@@ -110,19 +120,16 @@ struct BucketTerminal {
   std::function<uint64_t()> rows_in;
 };
 
-// The per-operator fusion surface, attached to an Rdd via set_fusion_ops().
-// All three closures carry the operator's record types internally.
+// The per-operator streaming surface, attached to an Rdd via
+// set_fusion_ops(). Built only by rdd_internal::MakeStreamingRdd.
 struct FusionOps {
-  // Bottom of a chain: stream every record of `input` (the materialized
-  // barrier partition) through this operator into `sink`, then Flush. The
-  // partition index is passed for operators whose behaviour depends on it
-  // (Sample's per-partition RNG seed).
-  std::function<void(int index, const PartitionData& input, FusionSink& sink)> drive;
-  // Middle/top of a chain: wrap `sink` (which consumes this operator's
-  // outputs) into a sink consuming this operator's inputs.
+  // Wraps `sink` (which consumes this operator's outputs) into the
+  // operator's own sink, consuming its inputs. The partition index is passed
+  // for operators whose behaviour depends on it (Sample's RNG seed).
   std::function<std::unique_ptr<FusionSink>(int index, FusionSink& sink)> adapt;
-  // A terminal collecting this operator's output type.
-  std::function<FusionTerminal()> make_terminal;
+  // True when the operator emits exactly one row per input row (Map), so a
+  // chain of such operators may size its output from its input.
+  bool keeps_rows = false;
 };
 
 namespace fusion_internal {
@@ -203,8 +210,8 @@ class FlatMapSink final : public TypedSink<In> {
 };
 
 // Bernoulli sampling; the RNG is seeded from (seed, partition) and consumed
-// in record order exactly like the unfused Sample closure, so fused and
-// unfused runs are bit-identical.
+// in record order, so a partition's sample does not depend on the chain it
+// runs in.
 template <typename T>
 class SampleSink final : public TypedSink<T> {
  public:
@@ -232,20 +239,27 @@ class SampleSink final : public TypedSink<T> {
 // Per-partition fold (the pushed-down Reduce): buffers the running
 // accumulator and emits it (at most one record) on Flush. The fold is a
 // strict left fold in record order, so non-commutative (but associative)
-// functions see exactly the order the unfused path would.
+// functions see the partition's rows in order.
 template <typename T, typename F>
 class FoldSink final : public TypedSink<T> {
  public:
   FoldSink(F fn, TypedSink<T>& down) : fn_(std::move(fn)), down_(down) {}
   void Push(const T* rec, size_t n) override {
+    if (n == 0) {
+      return;
+    }
     size_t i = 0;
-    if (!acc_.has_value() && n > 0) {
+    if (!acc_.has_value()) {
       acc_.emplace(rec[0]);
       i = 1;
     }
+    // Fold in a local: a member accumulator may alias `rec`, which would
+    // force a store and reload per row and block vectorization.
+    T acc = std::move(*acc_);
     for (; i < n; ++i) {
-      acc_ = fn_(*acc_, rec[i]);
+      acc = fn_(acc, rec[i]);
     }
+    *acc_ = std::move(acc);
   }
   void Flush() override {
     if (acc_.has_value()) {
@@ -259,90 +273,6 @@ class FoldSink final : public TypedSink<T> {
   std::optional<T> acc_;
   TypedSink<T>& down_;
 };
-
-// drive is the same for every operator kind: wrap the downstream sink in this
-// operator's own adapter, stream the barrier partition through it in
-// kFusionBatchRows spans, Flush.
-template <typename In>
-std::function<void(int, const PartitionData&, FusionSink&)> MakeDrive(
-    std::function<std::unique_ptr<FusionSink>(int, FusionSink&)> adapt) {
-  return [adapt = std::move(adapt)](int index, const PartitionData& input, FusionSink& sink) {
-    std::unique_ptr<FusionSink> op = adapt(index, sink);
-    TypedSink<In>& in = SinkAs<In>(*op);
-    const std::vector<In>& rows = Rows<In>(input);
-    for (size_t off = 0; off < rows.size(); off += kFusionBatchRows) {
-      in.Push(rows.data() + off, std::min(kFusionBatchRows, rows.size() - off));
-    }
-    op->Flush();
-  };
-}
-
-template <typename Out>
-std::function<FusionTerminal()> MakeCollectTerminalFactory() {
-  return [] {
-    auto term = std::make_unique<CollectTerminal<Out>>();
-    CollectTerminal<Out>* raw = term.get();
-    FusionTerminal t;
-    t.sink = std::move(term);
-    t.finish = [raw] { return raw->Finish(); };
-    return t;
-  };
-}
-
-template <typename In, typename Out, typename F>
-std::shared_ptr<const FusionOps> MakeMapFusionOps(F fn) {
-  auto ops = std::make_shared<FusionOps>();
-  ops->adapt = [fn](int, FusionSink& sink) -> std::unique_ptr<FusionSink> {
-    return std::make_unique<MapSink<In, Out, F>>(fn, SinkAs<Out>(sink));
-  };
-  ops->drive = MakeDrive<In>(ops->adapt);
-  ops->make_terminal = MakeCollectTerminalFactory<Out>();
-  return ops;
-}
-
-template <typename T, typename F>
-std::shared_ptr<const FusionOps> MakeFilterFusionOps(F pred) {
-  auto ops = std::make_shared<FusionOps>();
-  ops->adapt = [pred](int, FusionSink& sink) -> std::unique_ptr<FusionSink> {
-    return std::make_unique<FilterSink<T, F>>(pred, SinkAs<T>(sink));
-  };
-  ops->drive = MakeDrive<T>(ops->adapt);
-  ops->make_terminal = MakeCollectTerminalFactory<T>();
-  return ops;
-}
-
-template <typename In, typename Out, typename F>
-std::shared_ptr<const FusionOps> MakeFlatMapFusionOps(F fn) {
-  auto ops = std::make_shared<FusionOps>();
-  ops->adapt = [fn](int, FusionSink& sink) -> std::unique_ptr<FusionSink> {
-    return std::make_unique<FlatMapSink<In, Out, F>>(fn, SinkAs<Out>(sink));
-  };
-  ops->drive = MakeDrive<In>(ops->adapt);
-  ops->make_terminal = MakeCollectTerminalFactory<Out>();
-  return ops;
-}
-
-template <typename T>
-std::shared_ptr<const FusionOps> MakeSampleFusionOps(double fraction, uint64_t seed) {
-  auto ops = std::make_shared<FusionOps>();
-  ops->adapt = [fraction, seed](int index, FusionSink& sink) -> std::unique_ptr<FusionSink> {
-    return std::make_unique<SampleSink<T>>(fraction, seed, index, SinkAs<T>(sink));
-  };
-  ops->drive = MakeDrive<T>(ops->adapt);
-  ops->make_terminal = MakeCollectTerminalFactory<T>();
-  return ops;
-}
-
-template <typename T, typename F>
-std::shared_ptr<const FusionOps> MakeFoldFusionOps(F fn) {
-  auto ops = std::make_shared<FusionOps>();
-  ops->adapt = [fn](int, FusionSink& sink) -> std::unique_ptr<FusionSink> {
-    return std::make_unique<FoldSink<T, F>>(fn, SinkAs<T>(sink));
-  };
-  ops->drive = MakeDrive<T>(ops->adapt);
-  ops->make_terminal = MakeCollectTerminalFactory<T>();
-  return ops;
-}
 
 }  // namespace fusion_internal
 }  // namespace flint

@@ -33,12 +33,10 @@ struct ShuffleInfo {
   int shuffle_id = -1;
   int num_map_partitions = 0;
   int num_reduce_partitions = 0;
-  // Sink factory plus a driver that streams an already materialized map
-  // partition through such a sink (the unfused path). Fused and unfused
-  // execution push the same rows in the same order into sinks from the same
-  // factory, so their buckets are bit-identical by construction.
+  // The map side's terminal. Whether the map partition streams in from its
+  // chain or is materialized first, the same rows reach a sink from this
+  // factory in the same order, so the buckets are the same either way.
   BucketTerminalFactory make_bucket_sink;
-  std::function<void(const PartitionData& parent, FusionSink& sink)> drive_rows;
   // The RDD whose partitions feed the map side.
   std::weak_ptr<Rdd> map_side;
 };
@@ -90,8 +88,8 @@ class Rdd : public std::enable_shared_from_this<Rdd> {
   bool should_cache() const { return cache_.load(std::memory_order_relaxed); }
   void set_cache(bool v) { cache_.store(v, std::memory_order_relaxed); }
 
-  // Record-streaming fusion surface (see fusion.h). Null for operators that
-  // cannot stream (sources, shuffle consumers, vector-level ops). Set once on
+  // Record-streaming surface (see fusion.h). Null for operators that do not
+  // stream (sources, shuffle consumers, vector-level ops). Set once on
   // the driver thread immediately after construction, before the RDD can
   // reach an executor, so no synchronization is needed on the pointer.
   const FusionOps* fusion_ops() const { return fusion_ops_.get(); }

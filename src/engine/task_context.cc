@@ -1,6 +1,7 @@
 #include "src/engine/task_context.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/common/log.h"
@@ -67,10 +68,11 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
     }
   }
 
-  // 3. Recompute from lineage (fused when the chain allows it).
+  // 3. Recompute from lineage. A streaming operator's Compute runs its
+  // chain (RunChain), so this one call covers the fused case too.
   const auto t0 = WallClock::now();
   const double waited0 = ThreadWaitedSeconds();
-  Result<PartitionPtr> computed = ComputeFromLineage(rdd, partition);
+  Result<PartitionPtr> computed = rdd->Compute(partition, *this);
   if (!computed.ok()) {
     return computed.status();
   }
@@ -96,51 +98,55 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
   return data;
 }
 
-Result<PartitionPtr> TaskContext::ComputeFromLineage(const RddPtr& rdd, int partition) {
-  // The chain head itself must be a streaming operator over one narrow
-  // parent; its own cache/checkpoint/consumer state is irrelevant (the head's
-  // output IS materialized — GetPartition handles storing it).
-  if (!ctx_->config().operator_fusion || rdd->fusion_ops() == nullptr ||
-      rdd->deps().size() != 1 || rdd->deps()[0].type != DepType::kNarrowOneToOne ||
-      rdd->deps()[0].parent == nullptr) {
-    return rdd->Compute(partition, *this);
+Result<TaskContext::ChainRun> TaskContext::RunChain(const FusionOps* head, const RddPtr& below,
+                                                    int partition,
+                                                    const TerminalFn& make_terminal) {
+  // Operators top first: the head (whose output the terminal collects, so
+  // it is built), then every intermediate below it that nothing else needs.
+  // The first RDD that is not such an intermediate is the barrier.
+  std::vector<const FusionOps*> ops;
+  if (head != nullptr) {
+    ops.push_back(head);
   }
-  // chain[0] = head; extend downward through transparent intermediates until
-  // a barrier: a source, shuffle consumer, cached/marked RDD, or one with
-  // another live consumer.
-  std::vector<RddPtr> chain{rdd};
-  RddPtr barrier = rdd->deps()[0].parent;
+  RddPtr barrier = below;
   while (FusableIntermediate(barrier)) {
-    chain.push_back(barrier);
+    ops.push_back(barrier->fusion_ops());
     barrier = barrier->deps()[0].parent;
   }
-  if (chain.size() == 1) {
-    return rdd->Compute(partition, *this);  // nothing to elide
-  }
-
-  // Materialize the barrier input through the regular path (cluster cache,
-  // checkpoint restore, recursive lineage — possibly another fused chain
-  // below the barrier), then stream it through the composed operators.
+  // Materialize the barrier through the regular path (cluster cache,
+  // checkpoint restore, recursive lineage — possibly another chain below
+  // the barrier).
   FLINT_ASSIGN_OR_RETURN(PartitionPtr input, GetPartition(barrier, partition));
 
   // Sinks compose top-down: the head's adapter feeds the terminal, each
-  // deeper operator's adapter feeds the one above, and the bottom operator
-  // drives the barrier rows through the whole stack (and issues the single
-  // Flush sweep).
-  FusionTerminal terminal = chain.front()->fusion_ops()->make_terminal();
-  FusionSink* down = terminal.sink.get();
+  // deeper operator's adapter feeds the one above, and the barrier rows are
+  // driven into the bottom of the stack (one Flush sweep).
+  const auto t0 = WallClock::now();
+  const double waited0 = ThreadWaitedSeconds();
+  const bool rows_kept =
+      std::all_of(ops.begin(), ops.end(), [](const FusionOps* op) { return op->keeps_rows; });
+  FusionSink* down = &make_terminal(input->NumRecords(), rows_kept);
   std::vector<std::unique_ptr<FusionSink>> adapters;
-  adapters.reserve(chain.size() - 1);
-  for (size_t i = 0; i + 1 < chain.size(); ++i) {
-    adapters.push_back(chain[i]->fusion_ops()->adapt(partition, *down));
+  adapters.reserve(ops.size());
+  for (const FusionOps* op : ops) {
+    adapters.push_back(op->adapt(partition, *down));
     down = adapters.back().get();
   }
-  chain.back()->fusion_ops()->drive(partition, *input, *down);
+  down->DriveRows(*input);
+  const double seconds = ComputeSeconds(t0, waited0);
+  if (Cancelled()) {
+    return Unavailable("node revoked during compute");
+  }
 
+  // Every operator but the head streamed its rows without building its
+  // partition.
+  const size_t elided = ops.size() - (head != nullptr ? 1 : 0);
   EngineCounters& counters = ctx_->counters();
-  counters.fused_chains.fetch_add(1, std::memory_order_relaxed);
-  counters.fused_operators_elided.fetch_add(chain.size() - 1, std::memory_order_relaxed);
-  return terminal.finish();
+  if (head != nullptr && elided > 0) {
+    counters.fused_chains.fetch_add(1, std::memory_order_relaxed);
+  }
+  counters.fused_operators_elided.fetch_add(elided, std::memory_order_relaxed);
+  return ChainRun{elided, seconds};
 }
 
 Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPtr& map_rdd,
@@ -149,64 +155,31 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
   if (Cancelled()) {
     return Unavailable("node revoked");
   }
-  if (info.make_bucket_sink == nullptr || info.drive_rows == nullptr) {
+  if (info.make_bucket_sink == nullptr) {
     return Internal("shuffle " + std::to_string(info.shuffle_id) + " has no bucket sink");
   }
+  // The bucket sink is the chain's terminal and there is no head: a map RDD
+  // that is a fusable intermediate streams straight into the buckets, any
+  // other map RDD is the barrier and materializes through GetPartition.
+  BucketTerminal terminal;
+  FLINT_ASSIGN_OR_RETURN(
+      ChainRun run,
+      RunChain(/*head=*/nullptr, map_rdd, partition, [&](size_t rows, bool) -> FusionSink& {
+        terminal = info.make_bucket_sink(info.num_reduce_partitions, rows);
+        return *terminal.sink;
+      }));
   EngineCounters& counters = ctx_->counters();
-
-  // Fused path: the map RDD qualifies as an elidable streaming intermediate
-  // (same predicate as narrow-chain fusion — its sole consumer is the
-  // shuffle, and neither the cache nor the checkpoint writer needs its
-  // output), so the chain above it drives records straight into the bucket
-  // sink and the map-side partition is never built.
-  if (ctx_->config().operator_fusion && ctx_->config().shuffle_fusion &&
-      FusableIntermediate(map_rdd)) {
-    std::vector<RddPtr> chain{map_rdd};
-    RddPtr barrier = map_rdd->deps()[0].parent;
-    while (FusableIntermediate(barrier)) {
-      chain.push_back(barrier);
-      barrier = barrier->deps()[0].parent;
-    }
-    FLINT_ASSIGN_OR_RETURN(PartitionPtr input, GetPartition(barrier, partition));
-
-    const auto t0 = WallClock::now();
-    const double waited0 = ThreadWaitedSeconds();
-    BucketTerminal terminal =
-        info.make_bucket_sink(info.num_reduce_partitions, input->NumRecords());
-    FusionSink* down = terminal.sink.get();
-    std::vector<std::unique_ptr<FusionSink>> adapters;
-    adapters.reserve(chain.size() - 1);
-    for (size_t i = 0; i + 1 < chain.size(); ++i) {
-      adapters.push_back(chain[i]->fusion_ops()->adapt(partition, *down));
-      down = adapters.back().get();
-    }
-    chain.back()->fusion_ops()->drive(partition, *input, *down);
-    const double seconds = ComputeSeconds(t0, waited0);
-    if (Cancelled()) {
-      return Unavailable("node revoked during compute");
-    }
-    // The map RDD still "computed" this partition as far as the rest of the
-    // engine is concerned (recompute counters, FT-manager checkpoint
-    // signals); only the materialization was elided.
-    ctx_->NotifyPartitionComputed(map_rdd, partition, seconds);
-    counters.shuffle_fused_bucket_chains.fetch_add(1, std::memory_order_relaxed);
-    counters.shuffle_rows_bucketed_fused.fetch_add(terminal.rows_in(),
-                                                   std::memory_order_relaxed);
-    counters.fused_operators_elided.fetch_add(chain.size() - 1, std::memory_order_relaxed);
+  if (run.elided == 0) {
+    counters.shuffle_rows_bucketed_unfused.fetch_add(terminal.rows_in(),
+                                                     std::memory_order_relaxed);
     return terminal.finish();
   }
-
-  // Unfused fallback: materialize (cache -> checkpoint -> lineage) and
-  // stream the rows through the same bucket sink.
-  FLINT_ASSIGN_OR_RETURN(PartitionPtr input, GetPartition(map_rdd, partition));
-  BucketTerminal terminal =
-      info.make_bucket_sink(info.num_reduce_partitions, input->NumRecords());
-  info.drive_rows(*input, *terminal.sink);
-  if (Cancelled()) {
-    return Unavailable("node revoked during compute");
-  }
-  counters.shuffle_rows_bucketed_unfused.fetch_add(terminal.rows_in(),
-                                                   std::memory_order_relaxed);
+  // The map RDD still "computed" this partition as far as the rest of the
+  // engine is concerned (recompute counters, FT-manager checkpoint signals);
+  // only the materialization was elided.
+  ctx_->NotifyPartitionComputed(map_rdd, partition, run.seconds);
+  counters.shuffle_fused_bucket_chains.fetch_add(1, std::memory_order_relaxed);
+  counters.shuffle_rows_bucketed_fused.fetch_add(terminal.rows_in(), std::memory_order_relaxed);
   return terminal.finish();
 }
 

@@ -6,6 +6,8 @@
 #define SRC_ENGINE_TASK_CONTEXT_H_
 
 #include <atomic>
+#include <cstddef>
+#include <functional>
 #include <memory>
 
 #include "src/common/status.h"
@@ -45,16 +47,35 @@ class TaskContext {
   Result<std::vector<PartitionPtr>> FetchShuffle(int shuffle_id, int reduce_part);
 
   // Runs the map side of one shuffle task: produces the reduce-side buckets
-  // of (map_rdd, partition) through `info`'s bucket sink. When the map RDD
-  // is a streaming operator nothing else needs (uncached, unmarked, sole
-  // consumer is the shuffle) and shuffle fusion is on, the narrow chain
-  // above it streams directly into the sink and the map-side partition is
-  // never materialized; otherwise the partition materializes through
-  // GetPartition and its rows are driven through the same sink. Both paths
-  // push identical rows in identical order, so the buckets are
-  // bit-identical by construction.
+  // of (map_rdd, partition) through `info`'s bucket sink, as a chain run
+  // with the bucket sink as its terminal. When the map RDD is a streaming
+  // operator nothing else needs (uncached, unmarked, sole consumer is the
+  // shuffle), the chain above it streams directly into the sink and the
+  // map-side partition is never built; otherwise the map partition is the
+  // barrier and its rows are driven into the same sink.
   Result<std::vector<PartitionPtr>> ComputeShuffleBuckets(const RddPtr& map_rdd, int partition,
                                                           const ShuffleInfo& info);
+
+  // One chain run: the RDD partitions it streamed through without building
+  // them, and the compute seconds of the drive (barrier excluded).
+  struct ChainRun {
+    size_t elided = 0;
+    double seconds = 0.0;
+  };
+  // Builds the chain's terminal sink from the barrier's row count and
+  // whether every operator in the chain keeps the row count.
+  using TerminalFn = std::function<FusionSink&(size_t barrier_rows, bool rows_kept)>;
+
+  // The one chain runner. `head` is the streaming operator whose output the
+  // terminal collects (null for a shuffle map side), `below` the RDD under
+  // it. The chain extends down through `below` while it is a streaming
+  // operator over one narrow parent whose output nothing else needs
+  // (uncached, unmarked, at most one live consumer); the first RDD that is
+  // not is the barrier, materialized through GetPartition. The runner then
+  // builds the terminal, stacks every operator's sink on it and drives the
+  // barrier rows through the stack with one Flush.
+  Result<ChainRun> RunChain(const FusionOps* head, const RddPtr& below, int partition,
+                            const TerminalFn& make_terminal);
 
   // True once this task's node has been revoked or its attempt cancelled
   // (speculative loser, watchdog abort); computations poll this at partition
@@ -86,15 +107,6 @@ class TaskContext {
   // mid-transfer, OK otherwise.
   Status ChargeLinkTransfer(NodeId producer, uint64_t bytes, double slow_factor,
                             double timeout_seconds, int shuffle_id, int reduce_part);
-
-  // Step 3 of GetPartition: recompute (rdd, partition) from lineage. When
-  // `rdd` heads a chain of streaming one-to-one operators whose intermediates
-  // are uncached, unmarked, and single-consumer, the whole chain runs as one
-  // fused task streaming records through composed sinks (fusion.h); otherwise
-  // falls back to rdd->Compute. Fusion breaks at cache, checkpoint, shuffle,
-  // and multi-consumer boundaries, where the regular materialization order
-  // (cache -> checkpoint -> recursion) takes over for the barrier input.
-  Result<PartitionPtr> ComputeFromLineage(const RddPtr& rdd, int partition);
 };
 
 }  // namespace flint

@@ -11,6 +11,7 @@
 #define SRC_ENGINE_TYPED_RDD_H_
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -24,6 +25,45 @@
 #include "src/engine/task_context.h"
 
 namespace flint {
+
+namespace rdd_internal {
+
+// Builds a streaming operator (Map, Filter, FlatMap, Sample, the Reduce
+// partial) over `parent` from its sink alone. `make_sink(partition, down)`
+// returns the operator's sink (a unique_ptr to a sink of the parent's row
+// type) feeding `down`, a TypedSink<Out>. The RDD's FusionOps stack that sink
+// into longer chains; its Compute is a chain run headed by this operator into
+// a collect terminal. `keeps_rows`: the operator emits one row per input
+// row, so the output can be sized from the input.
+template <typename Out, typename MakeSink>
+RddPtr MakeStreamingRdd(FlintContext* ctx, const RddPtr& parent, std::string name,
+                        bool keeps_rows, MakeSink make_sink) {
+  auto ops = std::make_shared<FusionOps>();
+  ops->adapt = [make_sink](int partition, FusionSink& down) -> std::unique_ptr<FusionSink> {
+    return make_sink(partition, SinkAs<Out>(down));
+  };
+  ops->keeps_rows = keeps_rows;
+  RddPtr out = ctx->CreateRdd(
+      std::move(name), parent->num_partitions(),
+      {Dependency{DepType::kNarrowOneToOne, parent, nullptr}},
+      [ops, parent](int partition, TaskContext& tc) -> Result<PartitionPtr> {
+        CollectTerminal<Out> terminal;
+        FLINT_RETURN_IF_ERROR(
+            tc.RunChain(ops.get(), parent, partition,
+                        [&terminal](size_t rows, bool rows_kept) -> FusionSink& {
+                          if (rows_kept) {
+                            terminal.Reserve(rows);
+                          }
+                          return terminal;
+                        })
+                .status());
+        return terminal.Finish();
+      });
+  out->set_fusion_ops(std::move(ops));
+  return out;
+}
+
+}  // namespace rdd_internal
 
 template <typename T>
 class TypedRdd {
@@ -59,42 +99,22 @@ class TypedRdd {
   template <typename F>
   auto Map(F fn, std::string name = "map") const {
     using U = std::decay_t<std::invoke_result_t<F, const T&>>;
-    RddPtr parent = rdd_;
-    RddPtr out = ctx_->CreateRdd(
-        std::move(name), parent->num_partitions(),
-        {Dependency{DepType::kNarrowOneToOne, parent, nullptr}},
-        [parent, fn](int i, TaskContext& tc) -> Result<PartitionPtr> {
-          FLINT_ASSIGN_OR_RETURN(PartitionPtr in, tc.GetPartition(parent, i));
-          const auto& rows = Rows<T>(*in);
-          std::vector<U> result;
-          result.reserve(rows.size());
-          for (const auto& r : rows) {
-            result.push_back(fn(r));
-          }
-          return MakePartition(std::move(result));
-        });
-    out->set_fusion_ops(fusion_internal::MakeMapFusionOps<T, U>(fn));
-    return TypedRdd<U>(ctx_, std::move(out));
+    return TypedRdd<U>(ctx_, rdd_internal::MakeStreamingRdd<U>(
+                                 ctx_, rdd_, std::move(name), /*keeps_rows=*/true,
+                                 [fn](int, TypedSink<U>& down) {
+                                   return std::make_unique<fusion_internal::MapSink<T, U, F>>(
+                                       fn, down);
+                                 }));
   }
 
   template <typename F>
   TypedRdd<T> Filter(F pred, std::string name = "filter") const {
-    RddPtr parent = rdd_;
-    RddPtr out = ctx_->CreateRdd(
-        std::move(name), parent->num_partitions(),
-        {Dependency{DepType::kNarrowOneToOne, parent, nullptr}},
-        [parent, pred](int i, TaskContext& tc) -> Result<PartitionPtr> {
-          FLINT_ASSIGN_OR_RETURN(PartitionPtr in, tc.GetPartition(parent, i));
-          std::vector<T> result;
-          for (const auto& r : Rows<T>(*in)) {
-            if (pred(r)) {
-              result.push_back(r);
-            }
-          }
-          return MakePartition(std::move(result));
-        });
-    out->set_fusion_ops(fusion_internal::MakeFilterFusionOps<T>(pred));
-    return TypedRdd<T>(ctx_, std::move(out));
+    return TypedRdd<T>(ctx_, rdd_internal::MakeStreamingRdd<T>(
+                                 ctx_, rdd_, std::move(name), /*keeps_rows=*/false,
+                                 [pred](int, TypedSink<T>& down) {
+                                   return std::make_unique<fusion_internal::FilterSink<T, F>>(
+                                       pred, down);
+                                 }));
   }
 
   // fn: const std::vector<T>& -> std::vector<U>, applied per partition.
@@ -116,24 +136,13 @@ class TypedRdd {
   // fn: const T& -> std::vector<U>; results are concatenated.
   template <typename F>
   auto FlatMap(F fn, std::string name = "flatMap") const {
-    using Vec = std::decay_t<std::invoke_result_t<F, const T&>>;
-    using U = typename Vec::value_type;
-    RddPtr parent = rdd_;
-    RddPtr out = ctx_->CreateRdd(
-        std::move(name), parent->num_partitions(),
-        {Dependency{DepType::kNarrowOneToOne, parent, nullptr}},
-        [parent, fn](int i, TaskContext& tc) -> Result<PartitionPtr> {
-          FLINT_ASSIGN_OR_RETURN(PartitionPtr in, tc.GetPartition(parent, i));
-          std::vector<U> result;
-          for (const auto& r : Rows<T>(*in)) {
-            Vec part = fn(r);
-            result.insert(result.end(), std::make_move_iterator(part.begin()),
-                          std::make_move_iterator(part.end()));
-          }
-          return MakePartition(std::move(result));
-        });
-    out->set_fusion_ops(fusion_internal::MakeFlatMapFusionOps<T, U>(fn));
-    return TypedRdd<U>(ctx_, std::move(out));
+    using U = typename std::decay_t<std::invoke_result_t<F, const T&>>::value_type;
+    return TypedRdd<U>(ctx_, rdd_internal::MakeStreamingRdd<U>(
+                                 ctx_, rdd_, std::move(name), /*keeps_rows=*/false,
+                                 [fn](int, TypedSink<U>& down) {
+                                   return std::make_unique<fusion_internal::FlatMapSink<T, U, F>>(
+                                       fn, down);
+                                 }));
   }
 
   // --- actions (run a job) ---
@@ -168,24 +177,10 @@ class TypedRdd {
   // result matches a left fold over the concatenated partitions exactly.
   template <typename F>
   Result<T> Reduce(F fn) const {
-    RddPtr parent = rdd_;
-    RddPtr partial = ctx_->CreateRdd(
-        "reduce-partial", parent->num_partitions(),
-        {Dependency{DepType::kNarrowOneToOne, parent, nullptr}},
-        [parent, fn](int i, TaskContext& tc) -> Result<PartitionPtr> {
-          FLINT_ASSIGN_OR_RETURN(PartitionPtr in, tc.GetPartition(parent, i));
-          const auto& rows = Rows<T>(*in);
-          std::vector<T> out;
-          if (!rows.empty()) {
-            T acc = rows.front();
-            for (size_t j = 1; j < rows.size(); ++j) {
-              acc = fn(acc, rows[j]);
-            }
-            out.push_back(std::move(acc));
-          }
-          return MakePartition(std::move(out));
+    RddPtr partial = rdd_internal::MakeStreamingRdd<T>(
+        ctx_, rdd_, "reduce-partial", /*keeps_rows=*/false, [fn](int, TypedSink<T>& down) {
+          return std::make_unique<fusion_internal::FoldSink<T, F>>(fn, down);
         });
-    partial->set_fusion_ops(fusion_internal::MakeFoldFusionOps<T, F>(fn));
     FLINT_ASSIGN_OR_RETURN(std::vector<T> partials,
                            TypedRdd<T>(ctx_, std::move(partial)).Collect());
     if (partials.empty()) {
@@ -265,20 +260,6 @@ auto Generate(FlintContext* ctx, int num_partitions, F fn, std::string name = "g
 // deterministic.
 
 namespace rdd_internal {
-
-// Streams an already materialized partition of `Row`s through a bucket sink
-// in fusion-sized spans — the unfused half of the shared bucketing surface.
-template <typename Row>
-std::function<void(const PartitionData&, FusionSink&)> MakeRowDrive() {
-  return [](const PartitionData& p, FusionSink& sink) {
-    TypedSink<Row>& in = SinkAs<Row>(sink);
-    const std::vector<Row>& rows = Rows<Row>(p);
-    for (size_t off = 0; off < rows.size(); off += kFusionBatchRows) {
-      in.Push(rows.data() + off, std::min(kFusionBatchRows, rows.size() - off));
-    }
-    sink.Flush();
-  };
-}
 
 // Plain hash-partition of pair rows into buckets, no combining. Finish()
 // stable-sorts each bucket by key: per-key row order stays (arrival order),
@@ -398,30 +379,30 @@ class CombineBucketSink final : public TypedSink<std::pair<K, V>> {
   uint64_t combine_hits_ = 0;
 };
 
+// Wraps a bucket sink (a sink with Finish() and rows_in()) as the
+// type-erased terminal a shuffle's map side runs into.
+template <typename Sink>
+BucketTerminal MakeBucketTerminal(std::unique_ptr<Sink> sink) {
+  Sink* raw = sink.get();
+  BucketTerminal t;
+  t.sink = std::move(sink);
+  t.finish = [raw] { return raw->Finish(); };
+  t.rows_in = [raw] { return raw->rows_in(); };
+  return t;
+}
+
 template <typename K, typename V>
 BucketTerminalFactory MakePlainBucketFactory() {
   return [](int num_buckets, size_t expected_rows) {
-    auto sink = std::make_unique<PlainBucketSink<K, V>>(num_buckets, expected_rows);
-    PlainBucketSink<K, V>* raw = sink.get();
-    BucketTerminal t;
-    t.sink = std::move(sink);
-    t.finish = [raw] { return raw->Finish(); };
-    t.rows_in = [raw] { return raw->rows_in(); };
-    return t;
+    return MakeBucketTerminal(std::make_unique<PlainBucketSink<K, V>>(num_buckets, expected_rows));
   };
 }
 
 template <typename K, typename V, typename Combine>
 BucketTerminalFactory MakeCombineBucketFactory(Combine combine, EngineCounters* counters) {
   return [combine, counters](int num_buckets, size_t expected_rows) {
-    auto sink = std::make_unique<CombineBucketSink<K, V, Combine>>(num_buckets, expected_rows,
-                                                                   combine, counters);
-    CombineBucketSink<K, V, Combine>* raw = sink.get();
-    BucketTerminal t;
-    t.sink = std::move(sink);
-    t.finish = [raw] { return raw->Finish(); };
-    t.rows_in = [raw] { return raw->rows_in(); };
-    return t;
+    return MakeBucketTerminal(std::make_unique<CombineBucketSink<K, V, Combine>>(
+        num_buckets, expected_rows, combine, counters));
   };
 }
 
@@ -534,15 +515,13 @@ std::vector<std::pair<K, std::vector<V>>> MergeGroupBuckets(
   }
 }
 
-inline std::shared_ptr<ShuffleInfo> MakeShuffle(
-    FlintContext* ctx, const RddPtr& map_side, int num_reduce, BucketTerminalFactory factory,
-    std::function<void(const PartitionData&, FusionSink&)> drive_rows) {
+inline std::shared_ptr<ShuffleInfo> MakeShuffle(FlintContext* ctx, const RddPtr& map_side,
+                                                int num_reduce, BucketTerminalFactory factory) {
   auto info = std::make_shared<ShuffleInfo>();
   info->shuffle_id = ctx->NextShuffleId();
   info->num_map_partitions = map_side->num_partitions();
   info->num_reduce_partitions = num_reduce;
   info->make_bucket_sink = std::move(factory);
-  info->drive_rows = std::move(drive_rows);
   info->map_side = map_side;
   ctx->RegisterShuffleInfo(info);
   return info;
@@ -577,10 +556,8 @@ RddPtr MakeBinaryByKey(FlintContext* ctx, const RddPtr& left, const RddPtr& righ
                         std::vector<PartitionPtr>{std::move(r)}, tc);
         });
   } else {
-    auto left_info = MakeShuffle(ctx, left, num_reduce, MakePlainBucketFactory<K, V>(),
-                                 MakeRowDrive<std::pair<K, V>>());
-    auto right_info = MakeShuffle(ctx, right, num_reduce, MakePlainBucketFactory<K, W>(),
-                                  MakeRowDrive<std::pair<K, W>>());
+    auto left_info = MakeShuffle(ctx, left, num_reduce, MakePlainBucketFactory<K, V>());
+    auto right_info = MakeShuffle(ctx, right, num_reduce, MakePlainBucketFactory<K, W>());
     out = ctx->CreateRdd(
         std::move(name), num_reduce,
         {Dependency{DepType::kShuffle, left, left_info},
@@ -610,8 +587,7 @@ PairRdd<K, V> ReduceByKey(const PairRdd<K, V>& parent, int num_reduce, Combine c
   FlintContext* ctx = parent.ctx();
   auto info = rdd_internal::MakeShuffle(
       ctx, parent.raw(), num_reduce,
-      rdd_internal::MakeCombineBucketFactory<K, V>(combine, &ctx->counters()),
-      rdd_internal::MakeRowDrive<std::pair<K, V>>());
+      rdd_internal::MakeCombineBucketFactory<K, V>(combine, &ctx->counters()));
   RddPtr out = ctx->CreateRdd(
       std::move(name), num_reduce, {Dependency{DepType::kShuffle, parent.raw(), info}},
       [info, combine](int j, TaskContext& tc) -> Result<PartitionPtr> {
@@ -630,8 +606,7 @@ PairRdd<K, std::vector<V>> GroupByKey(const PairRdd<K, V>& parent, int num_reduc
                                       std::string name = "groupByKey") {
   FlintContext* ctx = parent.ctx();
   auto info = rdd_internal::MakeShuffle(ctx, parent.raw(), num_reduce,
-                                        rdd_internal::MakePlainBucketFactory<K, V>(),
-                                        rdd_internal::MakeRowDrive<std::pair<K, V>>());
+                                        rdd_internal::MakePlainBucketFactory<K, V>());
   RddPtr out = ctx->CreateRdd(
       std::move(name), num_reduce, {Dependency{DepType::kShuffle, parent.raw(), info}},
       [info](int j, TaskContext& tc) -> Result<PartitionPtr> {

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "src/common/rng.h"
 #include "src/engine/typed_rdd.h"
 
 namespace flint {
@@ -103,22 +102,11 @@ TypedRdd<T> Distinct(const TypedRdd<T>& parent, int num_reduce, std::string name
 template <typename T>
 TypedRdd<T> Sample(const TypedRdd<T>& parent, double fraction, uint64_t seed,
                    std::string name = "sample") {
-  RddPtr p = parent.raw();
-  RddPtr out = parent.ctx()->CreateRdd(
-      std::move(name), p->num_partitions(),
-      {Dependency{DepType::kNarrowOneToOne, p, nullptr}},
-      [p, fraction, seed](int i, TaskContext& tc) -> Result<PartitionPtr> {
-        FLINT_ASSIGN_OR_RETURN(PartitionPtr in, tc.GetPartition(p, i));
-        Rng rng(seed * 2654435761ULL + static_cast<uint64_t>(i));
-        std::vector<T> rows;
-        for (const auto& r : Rows<T>(*in)) {
-          if (rng.Bernoulli(fraction)) {
-            rows.push_back(r);
-          }
-        }
-        return MakePartition(std::move(rows));
+  RddPtr out = rdd_internal::MakeStreamingRdd<T>(
+      parent.ctx(), parent.raw(), std::move(name), /*keeps_rows=*/false,
+      [fraction, seed](int partition, TypedSink<T>& down) {
+        return std::make_unique<fusion_internal::SampleSink<T>>(fraction, seed, partition, down);
       });
-  out->set_fusion_ops(fusion_internal::MakeSampleFusionOps<T>(fraction, seed));
   return TypedRdd<T>(parent.ctx(), std::move(out));
 }
 
@@ -171,17 +159,11 @@ TypedRdd<T> SortBy(const TypedRdd<T>& parent, KeyFn key_fn, int num_output = 0,
     }
   }
   BucketTerminalFactory factory = [key_fn, splitters](int num_buckets, size_t expected_rows) {
-    auto sink = std::make_unique<rdd_internal::RangeBucketSink<T, KeyFn, K>>(
-        num_buckets, expected_rows, key_fn, splitters);
-    auto* raw = sink.get();
-    BucketTerminal t;
-    t.sink = std::move(sink);
-    t.finish = [raw] { return raw->Finish(); };
-    t.rows_in = [raw] { return raw->rows_in(); };
-    return t;
+    return rdd_internal::MakeBucketTerminal(
+        std::make_unique<rdd_internal::RangeBucketSink<T, KeyFn, K>>(num_buckets, expected_rows,
+                                                                      key_fn, splitters));
   };
-  auto info = rdd_internal::MakeShuffle(ctx, parent.raw(), num_output, std::move(factory),
-                                        rdd_internal::MakeRowDrive<T>());
+  auto info = rdd_internal::MakeShuffle(ctx, parent.raw(), num_output, std::move(factory));
   RddPtr out = ctx->CreateRdd(
       std::move(name), num_output, {Dependency{DepType::kShuffle, parent.raw(), info}},
       [info, key_fn](int j, TaskContext& tc) -> Result<PartitionPtr> {

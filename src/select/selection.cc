@@ -12,6 +12,10 @@ namespace flint {
 
 namespace {
 
+// Weight of the newest observed link-throughput sample in the per-market
+// EWMA (RecordObservedThroughput).
+constexpr double kLinkEwmaAlpha = 0.3;
+
 // Sort key for ranking evaluations by expected unit cost. Two degenerate
 // shapes must rank LAST instead of entering the comparator raw:
 //   - non-finite costs (an empty stats window can surface NaN/inf through
@@ -61,8 +65,7 @@ void ServerSelector::RecordObservedThroughput(MarketId id, double ratio) {
   MutexLock lock(&link_mutex_);
   auto [it, inserted] = link_ewma_.try_emplace(id, clamped);
   if (!inserted) {
-    it->second =
-        (1.0 - config_.link_ewma_alpha) * it->second + config_.link_ewma_alpha * clamped;
+    it->second = (1.0 - kLinkEwmaAlpha) * it->second + kLinkEwmaAlpha * clamped;
   }
 }
 

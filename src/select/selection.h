@@ -52,9 +52,6 @@ struct SelectionConfig {
   size_t max_candidate_set = 10;
   double correlation_threshold = 0.4;
   int max_markets_in_mix = 8;
-  // Weight of the newest observed link-throughput sample in the per-market
-  // EWMA (RecordObservedThroughput).
-  double link_ewma_alpha = 0.3;
 };
 
 // Application profile the cost model needs, in model hours.

@@ -1,16 +1,19 @@
 // Tests for the extended operator surface (typed_rdd_ops.h): Union,
 // Distinct, Sample, SortBy, CoGroup, LeftOuterJoin, Take/First, Keys/Values —
-// including behaviour across revocations — plus the narrow-chain operator
-// fusion rules (fusion.h): fused results are bit-identical to unfused, and
-// fusion breaks at cache, checkpoint, shuffle, and shared-consumer
-// boundaries.
+// including behaviour across revocations — plus the chain rules of the
+// streaming operators (fusion.h, TaskContext::RunChain): chains match
+// driver-side oracles, count what they do not build, and break at cache,
+// checkpoint, shuffle, and shared-consumer boundaries.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <set>
 
+#include "src/common/rng.h"
 #include "src/engine/typed_rdd_ops.h"
 #include "tests/test_util.h"
 
@@ -148,52 +151,132 @@ TEST(EngineOpsTest, KeysValuesProject) {
 
 // --- narrow-chain operator fusion (fusion.h) ---
 
-TEST(FusionTest, FusedChainMatchesUnfusedBitForBit) {
-  EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+// Parallelize's split: partition i holds data[n*i/parts, n*(i+1)/parts).
+template <typename T>
+std::vector<std::vector<T>> SplitLikeParallelize(const std::vector<T>& data, int parts) {
+  std::vector<std::vector<T>> out;
+  const size_t n = data.size();
+  for (size_t i = 0; i < static_cast<size_t>(parts); ++i) {
+    out.emplace_back(data.begin() + static_cast<ptrdiff_t>(n * i / static_cast<size_t>(parts)),
+                     data.begin() +
+                         static_cast<ptrdiff_t>(n * (i + 1) / static_cast<size_t>(parts)));
+  }
+  return out;
+}
+
+TEST(FusionTest, FusedChainMatchesOracleBitForBit) {
+  EngineHarness h;
   std::vector<int> data(5000);
   std::iota(data.begin(), data.end(), -2500);
-  auto run = [&data](EngineHarness& h) {
-    return Parallelize(&h.ctx(), data, 4)
-        .Map([](const int& x) { return x * 3 + 1; })
-        .Map([](const int& x) { return x ^ (x >> 2); })
-        .Filter([](const int& x) { return x % 7 != 0; })
-        .Collect();
-  };
-  auto a = run(fused);
-  auto b = run(plain);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
+  auto out = Parallelize(&h.ctx(), data, 4)
+                 .Map([](const int& x) { return x * 3 + 1; })
+                 .Map([](const int& x) { return x ^ (x >> 2); })
+                 .Filter([](const int& x) { return x % 7 != 0; })
+                 .Collect();
+  std::vector<int> oracle;
+  for (int x : data) {
+    const int y = (x * 3 + 1) ^ ((x * 3 + 1) >> 2);
+    if (y % 7 != 0) {
+      oracle.push_back(y);
+    }
+  }
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, oracle);
   // One fused task per partition, two intermediate partitions elided each.
-  EXPECT_EQ(fused.ctx().counters().fused_chains.load(), 4u);
-  EXPECT_EQ(fused.ctx().counters().fused_operators_elided.load(), 8u);
-  EXPECT_EQ(plain.ctx().counters().fused_chains.load(), 0u);
-  // The fused run computed only the chain bottoms and the sources.
-  EXPECT_LT(fused.ctx().counters().partitions_computed.load(),
-            plain.ctx().counters().partitions_computed.load());
+  EXPECT_EQ(h.ctx().counters().fused_chains.load(), 4u);
+  EXPECT_EQ(h.ctx().counters().fused_operators_elided.load(), 8u);
+  // Only the sources and the chain heads were built.
+  EXPECT_EQ(h.ctx().counters().partitions_computed.load(), 8u);
 }
 
 TEST(FusionTest, FlatMapAndSampleFuseDeterministically) {
-  EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+  EngineHarness h;
   std::vector<int> data(2000);
   std::iota(data.begin(), data.end(), 0);
-  auto run = [&data](EngineHarness& h) {
-    auto exploded = Parallelize(&h.ctx(), data, 5).FlatMap([](const int& x) {
-      return std::vector<int>{x, x + 100000};
+  auto exploded = Parallelize(&h.ctx(), data, 5).FlatMap([](const int& x) {
+    return std::vector<int>{x, x + 100000};
+  });
+  auto out = Sample(exploded, 0.5, /*seed=*/11).Map([](const int& x) { return x * 2; }).Collect();
+  // Sample seeds one RNG per partition with seed * 2654435761 + partition
+  // and draws once per row in order.
+  std::vector<int> oracle;
+  const auto parts = SplitLikeParallelize(data, 5);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    Rng rng(11 * 2654435761ULL + i);
+    for (int x : parts[i]) {
+      for (int y : {x, x + 100000}) {
+        if (rng.Bernoulli(0.5)) {
+          oracle.push_back(y * 2);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(out.ok());
+  ASSERT_GT(oracle.size(), 1000u);
+  EXPECT_EQ(*out, oracle);
+  EXPECT_EQ(h.ctx().counters().fused_chains.load(), 5u);
+  EXPECT_EQ(h.ctx().counters().fused_operators_elided.load(), 10u);
+  EXPECT_EQ(h.ctx().counters().partitions_computed.load(), 10u);
+}
+
+// A single streaming operator over a cached RDD is a chain with no
+// intermediate: it builds its own partition, elides nothing, and its output
+// is exactly the operator applied to the cached rows.
+TEST(FusionTest, SingleOperatorOverCacheMatchesOracle) {
+  EngineHarness h;
+  std::vector<int> data(3000);
+  std::iota(data.begin(), data.end(), 0);
+  auto base = Parallelize(&h.ctx(), data, 3);
+  base.Cache();
+  auto mapped = base.Map([](const int& x) { return x * 5 - 1; }).Collect();
+  auto selective = base.Filter([](const int& x) { return x % 97 == 3; }).Collect();
+  std::vector<int> map_oracle, filter_oracle;
+  for (int x : data) {
+    map_oracle.push_back(x * 5 - 1);
+    if (x % 97 == 3) {
+      filter_oracle.push_back(x);
+    }
+  }
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(selective.ok());
+  EXPECT_EQ(*mapped, map_oracle);
+  EXPECT_EQ(*selective, filter_oracle);
+  EXPECT_EQ(h.ctx().counters().fused_chains.load(), 0u);
+  EXPECT_EQ(h.ctx().counters().fused_operators_elided.load(), 0u);
+  EXPECT_EQ(h.ctx().counters().cache_hits.load(), 3u);  // the Filter read the cache
+}
+
+// fused_operators_elided counts every RDD partition a chain streamed through
+// without building: a narrow chain's intermediates (its head is built), and
+// every operator of a shuffle map side (nothing there is built).
+TEST(FusionTest, ElidedCountsEveryPartitionNotBuilt) {
+  std::vector<std::pair<int, int>> data;
+  for (int i = 0; i < 900; ++i) {
+    data.emplace_back(i % 11, i);
+  }
+  {
+    EngineHarness h;
+    auto mapped = Parallelize(&h.ctx(), data, 4).Map([](const std::pair<int, int>& kv) {
+      return std::make_pair(kv.first, kv.second % 5);
     });
-    return Sample(exploded, 0.5, /*seed=*/11)
-        .Map([](const int& x) { return x * 2; })
-        .Collect();
-  };
-  auto a = run(fused);
-  auto b = run(plain);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);  // includes the per-partition sampling RNG streams
-  EXPECT_EQ(fused.ctx().counters().fused_chains.load(), 5u);
-  EXPECT_EQ(fused.ctx().counters().fused_operators_elided.load(), 10u);
+    auto out = ReduceByKey(mapped, 3, [](int a, int b) { return a + b; }).Collect();
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->size(), 11u);
+    EXPECT_EQ(h.ctx().counters().fused_operators_elided.load(), 4u);  // one Map per map task
+    EXPECT_EQ(h.ctx().counters().shuffle_fused_bucket_chains.load(), 4u);
+    EXPECT_EQ(h.ctx().counters().fused_chains.load(), 0u);
+  }
+  {
+    EngineHarness h;
+    auto out = Parallelize(&h.ctx(), data, 3)
+                   .Map([](const std::pair<int, int>& kv) { return kv.second; })
+                   .Map([](const int& v) { return v + 1; })
+                   .Collect();
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->size(), data.size());
+    EXPECT_EQ(h.ctx().counters().fused_operators_elided.load(), 3u);  // the lower Map
+    EXPECT_EQ(h.ctx().counters().fused_chains.load(), 3u);
+  }
 }
 
 TEST(FusionTest, CacheBoundaryBreaksFusionAndPopulatesCache) {
@@ -228,8 +311,8 @@ TEST(FusionTest, CheckpointMarkBreaksFusion) {
   auto out = mid.Map([](const int& x) { return x - 5; }).Collect();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, data);
-  // The marked RDD is a fusion barrier: the single op above it forms a
-  // one-element chain, which executes unfused.
+  // The marked RDD is a chain barrier: the single op above it forms a
+  // chain with no intermediate, so nothing fuses.
   EXPECT_EQ(h.ctx().counters().fused_chains.load(), 0u);
 }
 
@@ -253,52 +336,43 @@ TEST(FusionTest, SharedIntermediateIsNotFusedThrough) {
 }
 
 TEST(FusionTest, FusionRestartsAfterShuffleBoundary) {
-  EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+  EngineHarness h;
   std::vector<std::pair<int, int>> data;
+  std::map<int, int> per_key;
   for (int i = 0; i < 1200; ++i) {
     data.emplace_back(i % 23, 1);
+    ++per_key[i % 23];
   }
-  auto run = [&data](EngineHarness& h) {
-    auto counts = ReduceByKey(Parallelize(&h.ctx(), data, 4), 3,
-                              [](int a, int b) { return a + b; });
-    auto out = counts.Map([](const std::pair<int, int>& kv) { return kv.second; })
-                   .Filter([](const int& c) { return c > 0; })
-                   .Collect();
-    if (out.ok()) {
-      std::sort(out->begin(), out->end());
-    }
-    return out;
-  };
-  auto a = run(fused);
-  auto b = run(plain);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
+  auto counts = ReduceByKey(Parallelize(&h.ctx(), data, 4), 3, [](int a, int b) { return a + b; });
+  auto out = counts.Map([](const std::pair<int, int>& kv) { return kv.second; })
+                 .Filter([](const int& c) { return c > 0; })
+                 .Collect();
+  std::vector<int> oracle;
+  for (const auto& [key, count] : per_key) {
+    oracle.push_back(count);
+  }
+  std::sort(oracle.begin(), oracle.end());
+  ASSERT_TRUE(out.ok());
+  std::sort(out->begin(), out->end());
+  EXPECT_EQ(*out, oracle);
   // The Map->Filter pair above the shuffle output fused (one chain per
   // reduce partition); the shuffle itself never streams.
-  EXPECT_EQ(fused.ctx().counters().fused_chains.load(), 3u);
+  EXPECT_EQ(h.ctx().counters().fused_chains.load(), 3u);
 }
 
 TEST(FusionTest, ReducePartialsFuseIntoTheChain) {
-  EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+  EngineHarness h;
   std::vector<int> data(4000);
   std::iota(data.begin(), data.end(), 1);
-  auto run = [&data](EngineHarness& h) {
-    return Parallelize(&h.ctx(), data, 6)
-        .Map([](const int& x) { return x * 2; })
-        .Reduce([](int a, int b) { return a + b; });
-  };
-  auto a = run(fused);
-  auto b = run(plain);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  EXPECT_EQ(*a, 4000 * 4001);
+  auto sum = Parallelize(&h.ctx(), data, 6)
+                 .Map([](const int& x) { return x * 2; })
+                 .Reduce([](int a, int b) { return a + b; });
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(*sum, 4000 * 4001);
   // The per-partition fold sank into the map chain: map + partial fuse.
-  EXPECT_EQ(fused.ctx().counters().fused_chains.load(), 6u);
-  EXPECT_EQ(fused.ctx().counters().fused_operators_elided.load(), 6u);
+  EXPECT_EQ(h.ctx().counters().fused_chains.load(), 6u);
+  EXPECT_EQ(h.ctx().counters().fused_operators_elided.load(), 6u);
+  EXPECT_EQ(h.ctx().counters().partitions_computed.load(), 12u);
 }
 
 TEST(FusionTest, ReduceIsDeterministicForNonCommutativeOps) {

@@ -3,8 +3,10 @@
 // in the documented order. Covers:
 //   - FlatHashMap unit behaviour (growth, collision storms, insertion-order
 //     iteration, Reserve contract);
-//   - fused vs unfused bucketing bit-identity for ReduceByKey / GroupByKey /
-//     Join, including non-commutative combines;
+//   - streamed vs materialized map-side bucketing bit-identity for
+//     ReduceByKey / GroupByKey / Join (the map side uncached, so its chain
+//     streams into the buckets, or cached, so it is built first), including
+//     non-commutative combines;
 //   - ReduceByKey / GroupByKey / Join against driver-side oracles (a left
 //     fold, exact per-key value order, a nested-loop join);
 //   - determinism across num_reduce choices;
@@ -33,7 +35,6 @@ namespace flint {
 namespace {
 
 using testing::EngineHarness;
-using testing::EngineHarnessOptions;
 
 // --- FlatHashMap units ---
 
@@ -129,18 +130,12 @@ TEST(FlatHashTest, BracketDefaultInsertsAndAppends) {
   EXPECT_EQ(*m.Find(9), (std::vector<int>{3}));
 }
 
-// --- fused vs unfused bit-identity, and driver-side oracles ---
+// --- streamed vs materialized map sides, and driver-side oracles ---
 //
 // Parallelize keeps input order, so a row's (map partition, row) position is
 // its input position: each oracle replays the engine's documented order
 // (values fold, group and join in map-partition, row order) with plain loops
 // over the driver-side input.
-
-EngineHarnessOptions Opts(bool shuffle_fusion) {
-  EngineHarnessOptions o;
-  o.shuffle_fusion = shuffle_fusion;
-  return o;
-}
 
 // Skewed keyed data: key frequencies differ and values depend on position,
 // so any reordering anywhere in the shuffle shows up in the output.
@@ -244,55 +239,77 @@ std::vector<std::pair<K, std::pair<V, W>>> JoinOracle(const std::vector<std::pai
 }
 
 // Each workload returns the raw Collect — partitions concatenated in order,
-// so fused vs unfused is full bit-identity, not just set equality. The Map
-// between each source and its shuffle is the narrow chain the fused path
-// elides.
+// so streamed vs materialized is full bit-identity, not just set equality.
+// The Map between each source and its shuffle is the map side: uncached, it
+// streams into the bucket sinks and is never built; cached
+// (`cache_map_side`), it is a chain barrier, built and stored first, and its
+// rows are then driven into the same sinks.
 
-std::vector<std::pair<int, uint64_t>> RunReduceByKey(FlintContext* ctx, int num_reduce) {
+template <typename T>
+void MaybeCache(TypedRdd<T>& rdd, bool cache) {
+  if (cache) {
+    rdd.Cache();
+  }
+}
+
+std::vector<std::pair<int, uint64_t>> RunReduceByKey(FlintContext* ctx, int num_reduce,
+                                                     bool cache_map_side = false) {
   auto mapped = Parallelize(ctx, SkewedPairs(6000, 37), 5).Map(ToAffine);
+  MaybeCache(mapped, cache_map_side);
   auto out = ReduceByKey(mapped, num_reduce, Compose).Collect();
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::vector<std::pair<int, uint64_t>>{};
 }
 
-std::vector<std::pair<int, std::string>> RunStringConcat(FlintContext* ctx) {
+std::vector<std::pair<int, std::string>> RunStringConcat(FlintContext* ctx,
+                                                        bool cache_map_side = false) {
   auto mapped = Parallelize(ctx, SkewedPairs(2000, 23), 4).Map(ToText);
+  MaybeCache(mapped, cache_map_side);
   auto out = ReduceByKey(mapped, 3, Concat).Collect();
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::vector<std::pair<int, std::string>>{};
 }
 
-std::vector<std::pair<int, std::vector<int>>> RunGroupByKey(FlintContext* ctx) {
+std::vector<std::pair<int, std::vector<int>>> RunGroupByKey(FlintContext* ctx,
+                                                            bool cache_map_side) {
   auto mapped = Parallelize(ctx, SkewedPairs(4000, 29), 6).Map(XorFive);
+  MaybeCache(mapped, cache_map_side);
   auto out = GroupByKey(mapped, 4).Collect();
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::vector<std::pair<int, std::vector<int>>>{};
 }
 
-std::vector<std::pair<int, std::pair<int, int>>> RunJoin(FlintContext* ctx) {
+std::vector<std::pair<int, std::pair<int, int>>> RunJoin(FlintContext* ctx, bool cache_map_side) {
   // Duplicate keys on both sides so the per-key cross product's row order is
   // exercised, with narrow Maps above both shuffles.
   auto left = Parallelize(ctx, SkewedPairs(1500, 19), 4).Map(Lift);
   auto right = Parallelize(ctx, SkewedPairs(900, 19), 3).Map(Negate);
+  MaybeCache(left, cache_map_side);
+  MaybeCache(right, cache_map_side);
   auto out = Join(left, right, 3).Collect();
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::vector<std::pair<int, std::pair<int, int>>>{};
 }
 
-// Runs `run` with shuffle fusion on and off. The two outputs must be
+// Runs `run` with the map side streamed and cached. The two outputs must be
 // bit-identical, and each, sorted by key, must equal `oracle` exactly.
 template <typename Run, typename Row>
 void ExpectPathsMatchOracle(Run run, const std::vector<Row>& oracle) {
   ASSERT_FALSE(oracle.empty());
-  std::vector<Row> fused;
-  for (bool fusion : {true, false}) {
-    EngineHarness h{Opts(fusion)};
-    std::vector<Row> got = run(&h.ctx());
-    EXPECT_EQ(StableSortedByKey(got), oracle) << "fusion=" << fusion;
-    if (fusion) {
-      fused = std::move(got);
+  std::vector<Row> streamed;
+  for (bool cached : {false, true}) {
+    EngineHarness h;
+    std::vector<Row> got = run(&h.ctx(), cached);
+    EXPECT_EQ(StableSortedByKey(got), oracle) << "cached=" << cached;
+    const EngineCounters& counters = h.ctx().counters();
+    if (cached) {
+      EXPECT_EQ(counters.shuffle_fused_bucket_chains.load(), 0u);
+      EXPECT_GT(counters.shuffle_rows_bucketed_unfused.load(), 0u);
+      EXPECT_EQ(got, streamed);
     } else {
-      EXPECT_EQ(got, fused);
+      EXPECT_GT(counters.shuffle_fused_bucket_chains.load(), 0u);
+      EXPECT_EQ(counters.shuffle_rows_bucketed_unfused.load(), 0u);
+      streamed = std::move(got);
     }
   }
 }
@@ -316,28 +333,37 @@ TEST(ShufflePathTest, ComposeIsAssociativeButNotCommutative) {
   }
 }
 
-TEST(ShufflePathTest, ReduceByKeyFusedMatchesUnfused) {
-  std::vector<std::pair<int, uint64_t>> fused, unfused;
+// Both map-side paths bucket every row once: 6000 rows into the streamed
+// path's counter or the cached path's, never both, with the same combiner
+// hits.
+TEST(ShufflePathTest, ReduceByKeyStreamedMatchesCachedMapSide) {
+  std::vector<std::pair<int, uint64_t>> streamed, cached;
+  uint64_t streamed_hits = 0;
   {
-    EngineHarness h{Opts(/*shuffle_fusion=*/true)};
-    fused = RunReduceByKey(&h.ctx(), 4);
-    EXPECT_GT(h.ctx().counters().shuffle_fused_bucket_chains.load(), 0u);
-    EXPECT_GT(h.ctx().counters().shuffle_rows_bucketed_fused.load(), 0u);
+    EngineHarness h;
+    streamed = RunReduceByKey(&h.ctx(), 4);
+    EXPECT_EQ(h.ctx().counters().shuffle_fused_bucket_chains.load(), 5u);
+    EXPECT_EQ(h.ctx().counters().shuffle_rows_bucketed_fused.load(), 6000u);
     EXPECT_EQ(h.ctx().counters().shuffle_rows_bucketed_unfused.load(), 0u);
-    EXPECT_GT(h.ctx().counters().shuffle_combine_hits.load(), 0u);
+    streamed_hits = h.ctx().counters().shuffle_combine_hits.load();
+    EXPECT_GT(streamed_hits, 0u);
   }
   {
-    EngineHarness h{Opts(/*shuffle_fusion=*/false)};
-    unfused = RunReduceByKey(&h.ctx(), 4);
+    EngineHarness h;
+    cached = RunReduceByKey(&h.ctx(), 4, /*cache_map_side=*/true);
     EXPECT_EQ(h.ctx().counters().shuffle_fused_bucket_chains.load(), 0u);
-    EXPECT_GT(h.ctx().counters().shuffle_rows_bucketed_unfused.load(), 0u);
+    EXPECT_EQ(h.ctx().counters().shuffle_rows_bucketed_fused.load(), 0u);
+    EXPECT_EQ(h.ctx().counters().shuffle_rows_bucketed_unfused.load(), 6000u);
+    EXPECT_EQ(h.ctx().counters().shuffle_combine_hits.load(), streamed_hits);
   }
-  ASSERT_FALSE(fused.empty());
-  EXPECT_EQ(fused, unfused);
+  ASSERT_FALSE(streamed.empty());
+  EXPECT_EQ(streamed, cached);
 }
 
 TEST(ShufflePathTest, ReduceByKeyMatchesFoldOracle) {
-  ExpectPathsMatchOracle([](FlintContext* ctx) { return RunReduceByKey(ctx, 4); },
+  ExpectPathsMatchOracle([](FlintContext* ctx, bool cached) {
+                           return RunReduceByKey(ctx, 4, cached);
+                         },
                          FoldOracle(MapRows(SkewedPairs(6000, 37), ToAffine), Compose));
 }
 
@@ -403,14 +429,6 @@ TEST(ShufflePathTest, FusedBucketChainSurvivesRevokeAllStorm) {
 
 // --- co-partitioned Join / CoGroup ---
 
-// Narrow-chain operator fusion on or off: the two engine paths a
-// co-partitioned reduce body can see its input through.
-EngineHarnessOptions GridOpts(bool operator_fusion) {
-  EngineHarnessOptions o;
-  o.operator_fusion = operator_fusion;
-  return o;
-}
-
 // Drops the key partitioning without touching a row: the shuffled oracle.
 template <typename K, typename V>
 PairRdd<K, V> Identity(const PairRdd<K, V>& rdd) {
@@ -456,13 +474,17 @@ struct BinaryResults {
 };
 
 // Join, CoGroup and LeftOuterJoin over the same inputs into `n` partitions;
-// `shuffled` routes both inputs through Identity first.
-BinaryResults RunBinaryOps(FlintContext* ctx, int n, int keys, bool shuffled) {
+// `shuffled` routes both inputs through Identity first. `cached` caches the
+// inputs the operators read, so the narrow plan reads cached partitions and
+// the shuffled plan's map sides are built before they are bucketed.
+BinaryResults RunBinaryOps(FlintContext* ctx, int n, int keys, bool shuffled, bool cached) {
   KeyedInputs in = CopartitionedInputs(ctx, n, keys);
   if (shuffled) {
     in.unique = Identity(in.unique);
     in.dups = Identity(in.dups);
   }
+  MaybeCache(in.unique, cached);
+  MaybeCache(in.dups, cached);
   BinaryResults r;
   const size_t before = ctx->shuffles().NumShuffles();
   auto join = Join(in.dups, in.unique, n);
@@ -482,18 +504,19 @@ BinaryResults RunBinaryOps(FlintContext* ctx, int n, int keys, bool shuffled) {
 }
 
 // A co-partitioned Join/CoGroup/LeftOuterJoin registers no shuffle and
-// equals the shuffled oracle row for row, on every engine path. N = 3 and 5
+// equals the shuffled oracle row for row, with its inputs cached or streamed
+// (the shuffled oracle's map sides likewise). N = 3 and 5
 // exercise the `h % n` bucket rule, 4 and 8 the mask; 8 partitions over 3
 // keys leave most partitions empty.
 TEST(ShufflePathTest, CopartitionedBinaryOpsMatchShuffledOracle) {
   const std::vector<std::pair<int, int>> cases = {{4, 19}, {3, 19}, {5, 23}, {8, 3}};
   for (const auto& [n, keys] : cases) {
-    for (bool fusion : {true, false}) {
+    for (bool cached : {false, true}) {
       SCOPED_TRACE("n=" + std::to_string(n) + " keys=" + std::to_string(keys) +
-                   " fusion=" + std::to_string(fusion));
-      EngineHarness h{GridOpts(fusion)};
-      const BinaryResults narrow = RunBinaryOps(&h.ctx(), n, keys, /*shuffled=*/false);
-      const BinaryResults oracle = RunBinaryOps(&h.ctx(), n, keys, /*shuffled=*/true);
+                   " cached=" + std::to_string(cached));
+      EngineHarness h;
+      const BinaryResults narrow = RunBinaryOps(&h.ctx(), n, keys, /*shuffled=*/false, cached);
+      const BinaryResults oracle = RunBinaryOps(&h.ctx(), n, keys, /*shuffled=*/true, cached);
       EXPECT_EQ(narrow.shuffles, 0u);
       EXPECT_EQ(oracle.shuffles, 6u);
       ASSERT_FALSE(oracle.join.empty());

@@ -370,29 +370,33 @@ TEST_F(SlowLinkTest, SlowLinkComposesWithRevocationStorm) {
   EXPECT_TRUE(injector.AllEventsFired());
 }
 
-// Replayability across the shuffle configuration grid: the same plan + seed
+// Replayability across both map-side bucketing paths: the same plan + seed
 // must make identical injection decisions and produce identical output on
-// two runs of each shuffle_fusion cell, and every run must equal the
-// driver-side count (a fold over the input in order). Injector stats are compared
-// field by field EXCEPT points_observed: the kSchedulerRound probe fires
-// once per scheduler retry round, and the number of rounds a stage needs is
-// timing-dependent even when every injection decision is identical.
+// two runs of each cell, and every run must equal the driver-side count (a
+// fold over the input in order). A Map sits on the map side; uncached it
+// streams into the bucket sinks, cached it is built first and its rows are
+// driven into the same sinks. Injector stats are compared field by field
+// EXCEPT points_observed: the kSchedulerRound probe fires once per scheduler
+// retry round, and the number of rounds a stage needs is timing-dependent
+// even when every injection decision is identical.
 TEST_F(SlowLinkTest, SeedDeterminismAcrossFusionGrid) {
   constexpr int kPairs = 2000;
   constexpr int kMaps = 8;
   constexpr int kReduces = 4;
 
   constexpr int kKeys = 64;
+  std::vector<std::pair<int, int>> data;
   std::vector<std::pair<int, int>> oracle(kKeys);
   for (int k = 0; k < kKeys; ++k) {
     oracle[static_cast<size_t>(k)] = {k, 0};
   }
   for (int i = 0; i < kPairs; ++i) {
-    ++oracle[static_cast<size_t>(i % kKeys)].second;  // WideCounts' input, folded in order
+    data.emplace_back(i % kKeys, 1);
+    ++oracle[static_cast<size_t>(i % kKeys)].second;  // the input, folded in order
   }
 
-  auto run_cell = [&](bool fusion, FaultInjector::Stats* stats_out) {
-    EngineHarness h{EngineHarnessOptions{.shuffle_fusion = fusion}};
+  auto run_cell = [&](bool cached, FaultInjector::Stats* stats_out) {
+    EngineHarness h;
     FaultPlan plan;  // seed = 42 (FaultPlan default)
     plan.events.push_back(SlowLinkAt(EnginePoint::kSchedulerRound, /*after_hits=*/0,
                                      /*node_ordinal=*/0, /*slow_factor=*/4.0,
@@ -402,21 +406,33 @@ TEST_F(SlowLinkTest, SeedDeterminismAcrossFusionGrid) {
     std::vector<std::pair<int, int>> got;
     {
       ProbeGuard guard(&h.ctx(), &injector);
-      got = WideCounts(&h.ctx(), kPairs, kKeys, kMaps, kReduces, &status);
+      auto mapped = Parallelize(&h.ctx(), data, kMaps).Map([](const std::pair<int, int>& kv) {
+        return std::make_pair(kv.first, kv.second * 2 - 1);
+      });
+      if (cached) {
+        mapped.Cache();
+      }
+      auto out = ReduceByKey(mapped, kReduces, [](int a, int b) { return a + b; }).Collect();
+      status = out.status();
+      if (out.ok()) {
+        got = *out;
+      }
     }
+    std::sort(got.begin(), got.end());
     EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(h.ctx().counters().shuffle_fused_bucket_chains.load() > 0, !cached);
     if (stats_out != nullptr) {
       *stats_out = injector.GetStats();
     }
     return got;
   };
 
-  for (bool fusion : {false, true}) {
+  for (bool cached : {false, true}) {
     FaultInjector::Stats a{}, b{};
-    std::vector<std::pair<int, int>> first = run_cell(fusion, &a);
-    std::vector<std::pair<int, int>> second = run_cell(fusion, &b);
-    EXPECT_EQ(first, oracle) << "fusion=" << fusion;
-    EXPECT_EQ(second, oracle) << "fusion=" << fusion;
+    std::vector<std::pair<int, int>> first = run_cell(cached, &a);
+    std::vector<std::pair<int, int>> second = run_cell(cached, &b);
+    EXPECT_EQ(first, oracle) << "cached=" << cached;
+    EXPECT_EQ(second, oracle) << "cached=" << cached;
     EXPECT_EQ(a.events_fired, b.events_fired);
     EXPECT_EQ(a.nodes_revoked, b.nodes_revoked);
     EXPECT_EQ(a.replacements_scheduled, b.replacements_scheduled);
@@ -427,8 +443,8 @@ TEST_F(SlowLinkTest, SeedDeterminismAcrossFusionGrid) {
     EXPECT_EQ(a.tasks_slowed, b.tasks_slowed);
     EXPECT_EQ(a.tasks_hung_injected, b.tasks_hung_injected);
     EXPECT_EQ(a.tasks_failed_injected, b.tasks_failed_injected);
-    EXPECT_EQ(a.fetches_slowed, b.fetches_slowed) << "fusion=" << fusion;
-    EXPECT_GT(a.fetches_slowed, 0u) << "fusion=" << fusion;
+    EXPECT_EQ(a.fetches_slowed, b.fetches_slowed) << "cached=" << cached;
+    EXPECT_GT(a.fetches_slowed, 0u) << "cached=" << cached;
   }
 }
 

@@ -24,13 +24,6 @@ struct EngineHarnessOptions {
   int executor_threads = 1;
   bool model_latency = false;
   EvictionMode eviction = EvictionMode::kDrop;
-  // Narrow-chain operator fusion; differential tests and the unfused
-  // benchmark baselines switch it off.
-  bool operator_fusion = true;
-  // Wide-stage pipelining: fused map-side bucketing (see EngineConfig).
-  // Differential tests toggle it to prove the fused and unfused paths
-  // bit-identical.
-  bool shuffle_fusion = true;
   // Lock shards per node's BlockManager (see BlockManagerConfig::num_shards).
   int block_shards = 8;
   // Fast time scale so warnings/acquisitions take milliseconds in tests.
@@ -66,8 +59,6 @@ class EngineHarness {
     dfs_ = std::make_unique<Dfs>(dfs_config);
     EngineConfig engine;
     engine.model_latency = options.model_latency;
-    engine.operator_fusion = options.operator_fusion;
-    engine.shuffle_fusion = options.shuffle_fusion;
     engine.block_defaults.eviction = options.eviction;
     engine.block_defaults.num_shards = options.block_shards;
     engine.checkpoint_retry = options.checkpoint_retry;

@@ -4,11 +4,13 @@
 #
 #   tools/bench.sh              # run + rewrite BENCH_engine.json
 #   tools/bench.sh --compare    # run + compare against BENCH_engine.json;
-#                               # exit 2 on a >25% items/s regression
+#                               # exit 2 on a >25% items/s regression, 3
+#                               # when the baseline came from another host
 #
-# The baseline is normalized (tools/bench_baseline.py): machine context is
-# stripped and numbers are rounded to 3 significant digits, so the committed
-# file only diffs when performance actually moves. Refresh it with a plain
+# The baseline is normalized (tools/bench_baseline.py): it keeps the host
+# (nproc, build type, compiler), strips the rest of the machine context, and
+# rounds numbers to 3 significant digits, so the committed file only diffs
+# when performance or the host actually moves. Refresh it with a plain
 # `tools/bench.sh` run after intentional performance changes.
 
 set -uo pipefail
@@ -47,6 +49,6 @@ if [[ "${MODE}" == "--compare" ]]; then
 else
   python3 tools/bench_baseline.py normalize "${RAW}" > "${BASELINE}" || exit 1
   echo "wrote ${BASELINE}"
-  # Show the run relative to itself, which also prints the fusion speedup.
+  # Show the run relative to itself.
   python3 tools/bench_baseline.py compare "${BASELINE}" "${RAW}" || true
 fi

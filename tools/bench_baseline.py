@@ -4,29 +4,29 @@
 Usage:
   bench_baseline.py normalize <raw.json>
       Print a normalized baseline document to stdout: per-benchmark
-      items/s and wall time in ns, rounded to 3 significant digits, with
-      machine-specific context (host, date, CPU scaling) stripped so the
-      committed BENCH_engine.json diffs only when performance moves.
+      items/s and wall time in ns, rounded to 3 significant digits, plus the
+      host the run came from (nproc, build type, compiler). Everything else
+      about the machine (host name, date, CPU scaling) is stripped, so the
+      committed BENCH_engine.json diffs only when performance or the host
+      moves.
 
   bench_baseline.py compare <baseline.json> <raw.json> [threshold]
-      Compare a fresh run against the committed baseline. Prints one line
-      per benchmark with the items/s ratio. Exits 2 if any benchmark's
-      items/s dropped by more than `threshold` (default 0.25, i.e. 25%),
-      0 otherwise. Intended for the warn-only --bench leg of check.sh.
+      Compare a fresh run against the committed baseline. Exits 3 without
+      comparing if the two runs come from different hosts (the baseline's
+      host is missing, or any of nproc, build type and compiler differs):
+      micro numbers from another host say nothing about this change.
+      Otherwise prints one line per benchmark with the items/s ratio and
+      exits 2 if any benchmark's items/s dropped by more than `threshold`
+      (default 0.25, i.e. 25%), 0 if none did. Intended for the warn-only
+      --bench leg of check.sh.
 """
 
 import json
 import sys
 
-# Headline pairs; normalize records their ratios so the acceptance bars
-# (>= 1.5x for the narrow-chain fusion work, fused >= unfused for the
-# shuffle pipelining work) are visible in the committed file.
-FUSED = "BM_NarrowChainFused/1048576/real_time"
-UNFUSED = "BM_NarrowChainUnfused/1048576/real_time"
-SHUFFLE_FUSED = "BM_ReduceByKeyFused/65536/real_time"
-SHUFFLE_UNFUSED = "BM_ReduceByKeyUnfused/65536/real_time"
-
 _NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+HOST_MISMATCH = 3
 
 
 def _sig3(x):
@@ -46,6 +46,14 @@ def _iterations(raw):
         yield b
 
 
+def host(raw):
+    """The host context micro_engine reports (bench/micro_engine.cc main)."""
+    context = raw.get("context", {})
+    return {"nproc": context.get("num_cpus"),
+            "build_type": context.get("flint_build_type"),
+            "compiler": context.get("flint_compiler")}
+
+
 def normalize(raw):
     benchmarks = {}
     for b in _iterations(raw):
@@ -53,19 +61,18 @@ def normalize(raw):
         if "items_per_second" in b:
             entry["items_per_second"] = _sig3(b["items_per_second"])
         benchmarks[b["name"]] = entry
-    doc = {"schema": 1, "benchmarks": benchmarks}
-    derived = {}
-    fused = benchmarks.get(FUSED, {}).get("items_per_second")
-    unfused = benchmarks.get(UNFUSED, {}).get("items_per_second")
-    if fused and unfused:
-        derived["narrow_chain_fusion_speedup"] = _sig3(fused / unfused)
-    sfused = benchmarks.get(SHUFFLE_FUSED, {}).get("items_per_second")
-    sunfused = benchmarks.get(SHUFFLE_UNFUSED, {}).get("items_per_second")
-    if sfused and sunfused:
-        derived["shuffle_fusion_speedup"] = _sig3(sfused / sunfused)
-    if derived:
-        doc["derived"] = derived
-    return doc
+    return {"schema": 2, "host": host(raw), "benchmarks": benchmarks}
+
+
+def host_mismatch(baseline, raw):
+    """Returns why the two runs are not comparable, or None if they are."""
+    base_host = baseline.get("host")
+    cur_host = host(raw)
+    if base_host is None:
+        return "baseline records no host"
+    diffs = ["%s %s vs %s" % (k, base_host.get(k), cur_host.get(k))
+             for k in sorted(cur_host) if base_host.get(k) != cur_host.get(k)]
+    return "; ".join(diffs) if diffs else None
 
 
 def compare(baseline, raw, threshold):
@@ -85,13 +92,6 @@ def compare(baseline, raw, threshold):
             flag = f"  <-- regression (>{threshold:.0%} below baseline)"
             regressions.append(name)
         print(f"  {name}: {ratio:.2f}x baseline items/s{flag}")
-    derived = normalize(raw).get("derived", {})
-    speedup = derived.get("narrow_chain_fusion_speedup")
-    if speedup is not None:
-        print(f"  narrow-chain fusion speedup: {speedup:.2f}x")
-    shuffle_speedup = derived.get("shuffle_fusion_speedup")
-    if shuffle_speedup is not None:
-        print(f"  shuffle fusion speedup: {shuffle_speedup:.2f}x")
     return regressions
 
 
@@ -102,7 +102,12 @@ def main(argv):
         return 0
     if len(argv) >= 3 and argv[0] == "compare":
         threshold = float(argv[3]) if len(argv) > 3 else 0.25
-        regressions = compare(_load(argv[1]), _load(argv[2]), threshold)
+        baseline, raw = _load(argv[1]), _load(argv[2])
+        mismatch = host_mismatch(baseline, raw)
+        if mismatch is not None:
+            print(f"HOST MISMATCH: not comparing against {argv[1]} ({mismatch})")
+            return HOST_MISMATCH
+        regressions = compare(baseline, raw, threshold)
         if regressions:
             print(f"{len(regressions)} benchmark(s) regressed beyond {threshold:.0%}")
             return 2
