@@ -3,7 +3,11 @@
 //
 // Layout: entries live densely in one std::vector<std::pair<K, V>> in
 // insertion order; a separate power-of-two index table of uint32_t slots
-// (linear probing, empty = 0xFFFFFFFF) maps hashes to entry positions. This
+// (linear probing, empty = 0xFFFFFFFF) maps hashes to entry positions. A
+// key's home slot is the top bits of its hash times the 64-bit golden ratio
+// (Fibonacci hashing), not the hash's low bits: the shuffle sinks pick a
+// bucket from those low bits, and std::hash<int> is the identity, so every
+// key of one bucket shares them. This
 // buys three things over std::unordered_map on the shuffle path:
 //   - one contiguous allocation for the payload instead of a node per key,
 //     so the combine loop walks cache lines, not pointers;
@@ -20,6 +24,7 @@
 #ifndef SRC_COMMON_FLAT_HASH_H_
 #define SRC_COMMON_FLAT_HASH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -65,7 +70,7 @@ class FlatHashMap {
       Grow();
     }
     const size_t mask = slots_.size() - 1;
-    size_t idx = hash & mask;
+    size_t idx = HomeSlot(hash);
     while (slots_[idx] != kEmpty) {
       Entry& e = entries_[slots_[idx]];
       if (e.first == key) {
@@ -87,7 +92,7 @@ class FlatHashMap {
       return nullptr;
     }
     const size_t mask = slots_.size() - 1;
-    size_t idx = hash_(key) & mask;
+    size_t idx = HomeSlot(hash_(key));
     while (slots_[idx] != kEmpty) {
       const Entry& e = entries_[slots_[idx]];
       if (e.first == key) {
@@ -114,14 +119,22 @@ class FlatHashMap {
  private:
   static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
   static constexpr size_t kMinCapacity = 16;
+  static constexpr uint64_t kGoldenRatio = 0x9E3779B97F4A7C15ULL;
+
+  // Mixes every bit of `hash` into the top log2(capacity) bits and keeps
+  // those. Only valid while the index is non-empty.
+  size_t HomeSlot(size_t hash) const {
+    return static_cast<size_t>((static_cast<uint64_t>(hash) * kGoldenRatio) >> shift_);
+  }
 
   void Grow() { Rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2); }
 
   void Rehash(size_t new_cap) {
     slots_.assign(new_cap, kEmpty);
+    shift_ = 64 - std::countr_zero(new_cap);
     const size_t mask = new_cap - 1;
     for (size_t i = 0; i < entries_.size(); ++i) {
-      size_t idx = hash_(entries_[i].first) & mask;
+      size_t idx = HomeSlot(hash_(entries_[i].first));
       while (slots_[idx] != kEmpty) {
         idx = (idx + 1) & mask;
       }
@@ -132,6 +145,7 @@ class FlatHashMap {
   Hash hash_;
   std::vector<Entry> entries_;
   std::vector<uint32_t> slots_;  // positions into entries_, kEmpty when free
+  int shift_ = 64;               // 64 - log2(slots_.size())
 };
 
 }  // namespace flint

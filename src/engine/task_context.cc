@@ -45,9 +45,11 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
   }
   EngineCounters& counters = ctx_->counters();
 
-  // 1. Cluster cache.
+  // 1. Cluster cache. A scheduled task's remote read takes the block, so
+  // the next task on this partition finds it here.
   const BlockKey key{rdd->id(), partition};
-  if (PartitionPtr cached = ctx_->LookupBlock(key, node_id()); cached != nullptr) {
+  if (PartitionPtr cached = ctx_->LookupBlock(key, node_id(), /*take=*/scheduled());
+      cached != nullptr) {
     counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
     return cached;
   }

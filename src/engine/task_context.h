@@ -85,6 +85,11 @@ class TaskContext {
            (cancel_ != nullptr && cancel_->load(std::memory_order_acquire));
   }
 
+  // True for an attempt the scheduler launched (it holds a cancel token);
+  // false for a background reader such as a checkpoint writer, whose reads
+  // never move a cached block.
+  bool scheduled() const { return cancel_ != nullptr; }
+
   FlintContext& context() { return *ctx_; }
   NodeId node_id() const { return node_->info.node_id; }
   const std::shared_ptr<NodeState>& node() const { return node_; }

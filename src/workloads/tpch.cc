@@ -6,16 +6,6 @@
 
 namespace flint {
 
-namespace {
-
-// Order keys are dealt round-robin to partitions so joins spread evenly.
-int OrdersInPartition(int num_orders, int parts, int part) {
-  return static_cast<int>(static_cast<int64_t>(num_orders) * (part + 1) / parts) -
-         static_cast<int>(static_cast<int64_t>(num_orders) * part / parts);
-}
-
-}  // namespace
-
 Result<TpchDatabase> TpchDatabase::Load(FlintContext& ctx, const TpchParams& params) {
   if (params.num_customers <= 0 || params.num_orders <= 0 || params.partitions <= 0) {
     return InvalidArgument("bad TPC-H params");

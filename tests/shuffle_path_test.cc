@@ -120,6 +120,41 @@ TEST(FlatHashTest, ReservePreventsRehash) {
   EXPECT_EQ(m.capacity(), cap) << "Reserve(1000) must cover 1000 inserts";
 }
 
+// A key that counts every equality test made against it: one per occupied
+// slot a probe passes, so compares per operation measure probe length.
+struct CountingKey {
+  int value;
+  int* compares;
+  bool operator==(const CountingKey& other) const {
+    ++*compares;
+    return value == other.value;
+  }
+};
+
+struct CountingKeyIdentityHash {
+  size_t operator()(const CountingKey& k) const { return static_cast<size_t>(k.value); }
+};
+
+TEST(FlatHashTest, ProbesStayShortWhenLowBitsAreFixed) {
+  // The keys of one bucket of a 16-bucket shuffle sink under an identity
+  // hash: every key shares its low 4 bits. Homing on those bits would leave
+  // 15 of every 16 slots unreachable and the probe runs long.
+  constexpr int kKeys = 4096;
+  int compares = 0;
+  FlatHashMap<CountingKey, int, CountingKeyIdentityHash> m;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(m.FindOrEmplace(CountingKey{16 * i + 3, &compares}, i).second);
+  }
+  EXPECT_LT(compares, 2 * kKeys) << "compares per insert: " << double(compares) / kKeys;
+  compares = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    const int* v = m.Find(CountingKey{16 * i + 3, &compares});
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(*v, i);
+  }
+  EXPECT_LT(compares, 2 * kKeys) << "compares per find: " << double(compares) / kKeys;
+}
+
 TEST(FlatHashTest, BracketDefaultInsertsAndAppends) {
   FlatHashMap<int, std::vector<int>, IdentityHash> m;
   m[5].push_back(1);

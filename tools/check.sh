@@ -438,14 +438,20 @@ run_obs_slowlink
 # (TaskContext::RunChain) the same way.
 # SwrrPick*/HealthPlacement*/LocalityPlacement* cover placement: PickNode's
 # lineage walk reads BlockManager shards from the scheduler thread while
-# executors write them. Latency* cancels the one wait from another thread.
-run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:Latency*'
+# executors write them. RecoveryPlacement* moves cached blocks between
+# BlockManagers (a remote read takes the block) while executors and
+# checkpoint writers read both. Latency* cancels the one wait from another
+# thread.
+run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:RecoveryPlacement*:Latency*'
 # Fusion*/ShufflePath* under ASan: a chain's sinks hold references into one
-# another and into the terminal for exactly one run.
-run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*'
+# another and into the terminal for exactly one run. LocalityPlacement*/
+# RecoveryPlacement*: a moved block's PartitionPtr changes BlockManager while
+# readers hold it.
+run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*'
 # The UBSan build aborts on the first finding (-fno-sanitize-recover).
 # ShufflePath* folds its combiners in unsigned arithmetic, so signed overflow
-# in a test combine shows up here; Latency* covers the one wait's arithmetic.
-run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*'
+# in a test combine shows up here; Latency* covers the one wait's arithmetic;
+# RecoveryPlacement* the two SWRR credit sets.
+run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*'
 
 summary
