@@ -5,7 +5,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "src/checkpoint/checkpoint_policy.h"
 #include "src/engine/block_manager.h"
@@ -37,19 +41,28 @@ BENCHMARK(BM_MapCollect)->Arg(1 << 14)->Arg(1 << 17)->UseRealTime();
 
 // The narrow-chain hot path (TaskContext::RunChain): a Map->Map->Filter->Count
 // job whose two lower operators stream through without building a partition.
-void RunNarrowChain(benchmark::State& state) {
-  testing::EngineHarness h;
-  std::vector<int64_t> data(static_cast<size_t>(state.range(0)));
+Result<uint64_t> NarrowChainJob(const TypedRdd<int64_t>& base) {
+  return base.Map([](const int64_t& x) { return x * 3 + 1; })
+      .Map([](const int64_t& x) { return x ^ (x >> 7); })
+      .Filter([](const int64_t& x) { return (x & 1) == 0; })
+      .Count();
+}
+
+// A cached 8-partition source of `n` consecutive integers on `h`.
+TypedRdd<int64_t> NarrowChainSource(testing::EngineHarness& h, int64_t n) {
+  std::vector<int64_t> data(static_cast<size_t>(n));
   std::iota(data.begin(), data.end(), 0);
   auto base = Parallelize(&h.ctx(), data, 8);
   base.Cache();
   (void)base.Materialize();
+  return base;
+}
+
+void RunNarrowChain(benchmark::State& state) {
+  testing::EngineHarness h;
+  const auto base = NarrowChainSource(h, state.range(0));
   for (auto _ : state) {
-    auto out = base.Map([](const int64_t& x) { return x * 3 + 1; })
-                   .Map([](const int64_t& x) { return x ^ (x >> 7); })
-                   .Filter([](const int64_t& x) { return (x & 1) == 0; })
-                   .Count();
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(NarrowChainJob(base));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -57,10 +70,9 @@ void RunNarrowChain(benchmark::State& state) {
 void BM_NarrowChainFused(benchmark::State& state) { RunNarrowChain(state); }
 BENCHMARK(BM_NarrowChainFused)->Arg(1 << 20)->UseRealTime();
 
-// Same fused chain with the global tracer enabled. The --obs leg of
-// tools/check.sh compares this against BM_NarrowChainFused and asserts the
-// tracer costs < 5% walltime: per stage/task span it is two clock reads and
-// one striped ring write, which must stay invisible next to the actual work.
+// Same fused chain with the global tracer enabled: per stage/task span the
+// tracer costs two clock reads and one striped ring write, which must stay
+// invisible next to the actual work.
 void BM_NarrowChainFusedTraced(benchmark::State& state) {
   ObsConfig obs;
   obs.tracing = true;
@@ -70,6 +82,58 @@ void BM_NarrowChainFusedTraced(benchmark::State& state) {
   ConfigureObservability(ObsConfig{});
 }
 BENCHMARK(BM_NarrowChainFusedTraced)->Arg(1 << 20)->UseRealTime();
+
+// The tracer-overhead gate of tools/check.sh --obs. Each iteration is one
+// pair: the fused chain run untraced and traced, kJobsPerSide jobs each, in
+// an order that flips every pair so neither side always runs second. Host
+// noise that slows both halves of a pair cancels out of its ratio, which
+// two separately timed benchmarks cannot offer. Reports quantiles of the
+// per-pair overhead (traced / untraced - 1) and a distribution-free 95%
+// confidence interval for its median (order statistics of a binomial(n,
+// 1/2) count).
+void BM_NarrowChainTracerPairs(benchmark::State& state) {
+  constexpr int kJobsPerSide = 2;
+  testing::EngineHarness h;
+  const auto base = NarrowChainSource(h, state.range(0));
+  ObsConfig obs;
+  obs.tracing = true;
+  obs.trace_capacity = 1 << 16;
+  ConfigureObservability(obs);
+  auto timed_side = [&base](bool traced) {
+    Tracer::Global().SetEnabled(traced);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kJobsPerSide; ++i) {
+      benchmark::DoNotOptimize(NarrowChainJob(base));
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  std::vector<double> overheads;
+  for (auto _ : state) {
+    const bool traced_first = overheads.size() % 2 == 1;
+    const double first = timed_side(traced_first);
+    const double second = timed_side(!traced_first);
+    const double untraced = traced_first ? second : first;
+    const double traced = traced_first ? first : second;
+    overheads.push_back(traced / untraced - 1.0);
+    state.SetIterationTime(first + second);
+  }
+  ConfigureObservability(ObsConfig{});
+  std::sort(overheads.begin(), overheads.end());
+  const size_t n = overheads.size();
+  auto quantile = [&overheads, n](double q) {
+    return overheads[static_cast<size_t>(q * static_cast<double>(n - 1) + 0.5)];
+  };
+  const auto ci_rank = static_cast<size_t>(
+      std::max(0.0, std::floor((static_cast<double>(n) - 1.96 * std::sqrt(n)) / 2.0)));
+  state.counters["pairs"] = static_cast<double>(n);
+  state.counters["overhead_p25"] = quantile(0.25);
+  state.counters["overhead_median"] = quantile(0.5);
+  state.counters["overhead_p75"] = quantile(0.75);
+  state.counters["overhead_ci_lo"] = overheads[ci_rank];
+  state.counters["overhead_ci_hi"] = overheads[n - 1 - ci_rank];
+  state.SetItemsProcessed(state.iterations() * 2 * kJobsPerSide * state.range(0));
+}
+BENCHMARK(BM_NarrowChainTracerPairs)->Arg(1 << 20)->Iterations(241)->UseManualTime();
 
 // Sampled range-partitioned sort: the argument is num_output partitions, so
 // the sweep shows wall time dropping as the sort spreads across executors.

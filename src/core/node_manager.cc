@@ -272,40 +272,18 @@ void NodeManager::OnNodeAdded(const NodeInfo& node) {
   PruneRevokedLocked(Now());
 }
 
-void NodeManager::OnTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
-                                        bool success) {
+void NodeManager::OnTaskJudged(NodeId node, double seconds, bool on_time) {
+  (void)seconds;
   if (!config_.health.enabled) {
     return;
   }
-  double sample = 0.0;
-  if (success) {
-    // Relative-runtime sample: a node matching its stage's P50 scores ~1, a
-    // node k times slower scores ~1/k. With no reference yet (the stage is
-    // below quorum) the success says nothing and is not scored.
-    if (stage_p50_seconds <= 0.0) {
-      return;
-    }
-    sample = seconds > 0.0 ? std::clamp(stage_p50_seconds / seconds, 0.0, 1.0) : 1.0;
-  }
-  AddHealthSample(node, sample);
+  AddHealthSample(node, on_time ? 1.0 : 0.0);
 }
 
-void NodeManager::OnTaskDeadlineMiss(NodeId node) {
+void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool late) {
   if (!config_.health.enabled) {
     return;
   }
-  AddHealthSample(node, 0.0);
-}
-
-void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) {
-  if (!config_.health.enabled) {
-    return;
-  }
-  // A link-slow fetch indicts the producing node the same way a deadline
-  // miss does: its NIC, not its CPU, is the bottleneck, but scheduling onto
-  // it hurts just the same. Healthy samples fold in the observed ratio so a
-  // merely-degraded link drags the score proportionally.
-  const double sample = slow ? 0.0 : std::clamp(throughput_ratio, 0.0, 1.0);
   // Charge the observed throughput against the node's market so selection
   // sees the degradation: a market full of sick links prices itself out.
   {
@@ -323,9 +301,15 @@ void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) 
       selector_.RecordObservedThroughput(market, std::clamp(throughput_ratio, 0.01, 1.0));
     }
   }
+  if (!late) {
+    return;
+  }
+  // A late pull indicts the producing node the same way a deadline miss
+  // does: its NIC, not its CPU, is the bottleneck, but scheduling onto it
+  // hurts just the same.
   const bool was_quarantined = Quarantined(node);
-  AddHealthSample(node, sample);
-  if (slow && !was_quarantined && Quarantined(node)) {
+  AddHealthSample(node, 0.0);
+  if (!was_quarantined && Quarantined(node)) {
     Tracer::Global().RecordInstant("link_quarantine", "net",
                                    {{"node", static_cast<double>(node)},
                                     {"score", HealthScore(node)}});
@@ -339,7 +323,9 @@ void NodeManager::AddHealthSample(NodeId node, double sample) {
   {
     MutexLock lock(&mutex_);
     NodeHealth& h = health_[node];
-    h.score = (1.0 - hc.ewma_alpha) * h.score + hc.ewma_alpha * sample;
+    // Written as a step toward the sample so a run of on-time samples holds
+    // a healthy node at exactly 1.0.
+    h.score += hc.ewma_alpha * (sample - h.score);
     ++h.samples;
     score = h.score;
     if (!h.quarantined && h.samples >= hc.min_samples && h.score < hc.quarantine_threshold) {
@@ -347,9 +333,6 @@ void NodeManager::AddHealthSample(NodeId node, double sample) {
       want_quarantine = true;
     }
   }
-  // Publish every sample so PickNode's weighting tracks degradation long
-  // before (and after) the quarantine threshold.
-  ctx_->SetNodeHealthScore(node, score);
   if (want_quarantine) {
     ApplyQuarantine(node, score);
   }
@@ -368,17 +351,12 @@ void NodeManager::ApplyQuarantine(NodeId node, double score) {
   // Refused: this is the last schedulable node. Roll the mark back and lift
   // the score to the threshold so the next bad sample retries instead of
   // hammering the context on every completion.
-  double lifted = config_.health.quarantine_threshold;
-  {
-    MutexLock lock(&mutex_);
-    auto it = health_.find(node);
-    if (it != health_.end()) {
-      it->second.quarantined = false;
-      it->second.score = std::max(it->second.score, config_.health.quarantine_threshold);
-      lifted = it->second.score;
-    }
+  MutexLock lock(&mutex_);
+  auto it = health_.find(node);
+  if (it != health_.end()) {
+    it->second.quarantined = false;
+    it->second.score = std::max(it->second.score, config_.health.quarantine_threshold);
   }
-  ctx_->SetNodeHealthScore(node, lifted);
 }
 
 void NodeManager::DecayHealth(NodeId node) {
@@ -401,7 +379,6 @@ void NodeManager::DecayHealth(NodeId node) {
       recovered = true;
     }
   }
-  ctx_->SetNodeHealthScore(node, score);
   if (recovered) {
     ctx_->SetNodeQuarantined(node, false);
     unquarantines_.fetch_add(1, std::memory_order_relaxed);

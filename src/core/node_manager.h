@@ -29,11 +29,13 @@
 
 namespace flint {
 
-// Node-health scoring (DESIGN.md "Straggler mitigation"). Every finished
-// task attempt updates an EWMA health score per node: a success contributes
-// its runtime relative to its own stage's P50 (a node 8x slower than its
-// peers scores ~0.125; a success before the stage has a P50 is not scored),
-// a failure or deadline miss contributes 0. Nodes whose score sinks below
+// Node-health scoring (DESIGN.md "Straggler mitigation"). Every judged task
+// attempt updates an EWMA health score per node with one binary sample, by
+// the speculation deadline (EngineObserver::OnTaskJudged): an on-time
+// attempt contributes 1, a late one (deadline miss, late success, budgeted
+// failure) 0. A late shuffle pull contributes 0 to its producer
+// (OnLinkSample); a degraded pull within the deadline is not scored, though
+// market selection still sees its throughput. Nodes whose score sinks below
 // quarantine_threshold (after min_samples) are excluded from scheduling — a
 // reversible drain — and recover by timer-driven decay back toward 1.0,
 // rejoining once the score passes recover_threshold.
@@ -127,10 +129,8 @@ class NodeManager : public EngineObserver {
   void OnNodeWarning(const NodeInfo& node) override;
   void OnNodeRevoked(const NodeInfo& node) override;
   void OnNodeAdded(const NodeInfo& node) override;
-  void OnTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
-                             bool success) override;
-  void OnTaskDeadlineMiss(NodeId node) override;
-  void OnLinkSample(NodeId node, double throughput_ratio, bool slow) override;
+  void OnTaskJudged(NodeId node, double seconds, bool on_time) override;
+  void OnLinkSample(NodeId node, double throughput_ratio, bool late) override;
 
  private:
   struct LeaseRecord {
@@ -150,8 +150,8 @@ class NodeManager : public EngineObserver {
   void ScheduleMarketRevocation(NodeId node, SimTime revocation_time);
   // Mutates a LeaseRecord living inside leases_.
   double CloseLeaseCost(LeaseRecord& rec, SimTime end) REQUIRES(mutex_);
-  // Folds one health sample (1.0 = healthy, 0.0 = failure/miss) into the
-  // node's EWMA and quarantines it when the score sinks below threshold.
+  // Folds one health sample (1.0 = on time, 0.0 = late) into the node's
+  // EWMA and quarantines it when the score sinks below threshold.
   void AddHealthSample(NodeId node, double sample);
   // Actually excludes `node` from scheduling (outside mutex_: the context's
   // node lock orders after ours) and arms the recovery decay timer. Rolls

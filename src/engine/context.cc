@@ -356,19 +356,6 @@ bool FlintContext::SetNodeQuarantined(NodeId id, bool quarantined) {
   return true;
 }
 
-void FlintContext::SetNodeHealthScore(NodeId id, double score) {
-  std::shared_ptr<NodeState> node;
-  {
-    ReaderMutexLock lock(&nodes_mutex_);
-    auto it = nodes_.find(id);
-    if (it == nodes_.end()) {
-      return;
-    }
-    node = it->second;
-  }
-  node->health_score.store(std::clamp(score, 0.0, 1.0), std::memory_order_relaxed);
-}
-
 void FlintContext::SetNodeLinkBandwidth(NodeId id, double bytes_per_s) {
   std::shared_ptr<NodeState> node = GetNodeState(id);
   if (node == nullptr || bytes_per_s <= 0.0) {
@@ -698,22 +685,15 @@ void FlintContext::NotifyPartitionComputed(const RddPtr& rdd, int partition, dou
   }
 }
 
-void FlintContext::NotifyTaskAttemptFinished(NodeId node, double seconds,
-                                             double stage_p50_seconds, bool success) {
+void FlintContext::NotifyTaskJudged(NodeId node, double seconds, bool on_time) {
   for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnTaskAttemptFinished(node, seconds, stage_p50_seconds, success);
+    obs->OnTaskJudged(node, seconds, on_time);
   }
 }
 
-void FlintContext::NotifyTaskDeadlineMiss(NodeId node) {
+void FlintContext::NotifyLinkSample(NodeId node, double throughput_ratio, bool late) {
   for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnTaskDeadlineMiss(node);
-  }
-}
-
-void FlintContext::NotifyLinkSample(NodeId node, double throughput_ratio, bool slow) {
-  for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnLinkSample(node, throughput_ratio, slow);
+    obs->OnLinkSample(node, throughput_ratio, late);
   }
 }
 

@@ -7,6 +7,7 @@
 #ifndef SRC_ENGINE_CONTEXT_H_
 #define SRC_ENGINE_CONTEXT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -38,9 +39,10 @@ class DagScheduler;
 // Straggler mitigation (DESIGN.md "Straggler mitigation"). The scheduler
 // tracks per-stage task-runtime quantiles; once `quorum` attempts of a stage
 // have finished, every outstanding attempt gets a deadline of
-// max(min_deadline_seconds, spec_multiplier x stage P50). An attempt past
-// its deadline gets a speculative duplicate on a different node; first
-// success wins and the loser is cancelled cooperatively. Failed attempts are
+// DeadlineSeconds(stage P50). An attempt past its deadline gets a
+// speculative duplicate on a different node; first success wins and the
+// loser is cancelled cooperatively. Node health judges every attempt by the
+// same deadline, with speculation on or off. Failed attempts are
 // retried with exponential backoff up to max_attempts_per_task before the
 // stage surfaces the last error, and the stage watchdog bounds the whole
 // loop so a hung cluster turns into a clean kDeadlineExceeded.
@@ -58,6 +60,12 @@ struct SpeculationConfig {
   // Hard bound on one stage's wall-clock time, watchdog for hung tasks that
   // speculation cannot save (e.g. every replica hangs). <= 0 disables.
   double stage_watchdog_seconds = 120.0;
+
+  // The deadline of an attempt in a stage whose service-time P50 is
+  // `p50_seconds`.
+  double DeadlineSeconds(double p50_seconds) const {
+    return std::max(min_deadline_seconds, spec_multiplier * p50_seconds);
+  }
 };
 
 struct EngineConfig {
@@ -222,15 +230,10 @@ struct NodeState {
   // but the scheduler stops placing new attempts on it until the score
   // recovers. Unlike draining, quarantine is reversible.
   std::atomic<bool> quarantined{false};
-  // EWMA health score pushed by the NodeManager's scorer (1 = healthy,
-  // 0 = failing every attempt). Weights PickNode's smooth weighted
-  // round-robin so a degraded-but-unbenched node draws proportionally fewer
-  // tasks. Plain store/load; single-writer (the scorer).
-  std::atomic<double> health_score{1.0};
-  // Smooth-weighted-round-robin credit for PickNode. Only the scheduler
-  // thread (serialized by job_mutex_) mutates it; atomic so readers
-  // (metrics, tests) need no lock.
-  std::atomic<double> swrr_credit{0.0};
+  // Round-robin credit for PickNode. Only the scheduler thread (serialized
+  // by job_mutex_) mutates it; atomic so readers (metrics, tests) need no
+  // lock.
+  std::atomic<int64_t> swrr_credit{0};
   // Dispatches routed here by PickNode, locality picks included. Exposed
   // for placement tests and telemetry.
   std::atomic<uint64_t> tasks_picked{0};
@@ -320,10 +323,6 @@ class FlintContext : public ClusterListener {
   // Refuses to quarantine the last schedulable node — something must keep
   // accepting tasks — and returns whether the change was applied.
   bool SetNodeQuarantined(NodeId id, bool quarantined);
-  // Publishes the health scorer's EWMA score for `id` (clamped to [0, 1])
-  // onto its NodeState so placement can weight by it. Unknown ids are
-  // ignored (the node raced a revocation).
-  void SetNodeHealthScore(NodeId id, double score);
   // Overrides `id`'s modelled NIC capacity (bytes/s). Unknown ids are
   // ignored. Tests use this to model heterogeneous fleets.
   void SetNodeLinkBandwidth(NodeId id, double bytes_per_s);
@@ -373,14 +372,10 @@ class FlintContext : public ClusterListener {
 
   // --- event plumbing (called from TaskContext / scheduler) ---
   void NotifyPartitionComputed(const RddPtr& rdd, int partition, double seconds);
-  // Straggler telemetry fan-out to observers (node-health scorer).
-  void NotifyTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
-                                 bool success);
-  void NotifyTaskDeadlineMiss(NodeId node);
-  // Link telemetry fan-out: a shuffle pull over `node`'s link was classified
-  // (ratio = observed bytes/s over modelled capacity, clamped to [0, 1];
-  // slow = the pull blew the fetch timeout). Feeds the health scorer.
-  void NotifyLinkSample(NodeId node, double throughput_ratio, bool slow);
+  // Straggler telemetry fan-out to observers (EngineObserver::OnTaskJudged).
+  void NotifyTaskJudged(NodeId node, double seconds, bool on_time);
+  // Link telemetry fan-out (EngineObserver::OnLinkSample).
+  void NotifyLinkSample(NodeId node, double throughput_ratio, bool late);
 
   // --- stage service-time quantiles (published by the stage loop) ---
   // The running stage's live (or carried) P50/P95 service times in seconds;

@@ -109,11 +109,6 @@ bool StretchCompute(TaskContext& tc, const TaskFaultDirective& directive, WallTi
       .ok();
 }
 
-// A zero-score node still deserves a trickle: total starvation would freeze
-// its EWMA (no completions, no samples), making recovery impossible.
-// Quarantine — not the weight floor — is the mechanism that benches a node.
-constexpr double kMinPickWeight = 0.05;
-
 // Stamps `stamp` with the current steady-clock tick at executor entry.
 void StampExecStart(const ExecStartStamp& stamp) {
   stamp->store(WallClock::now().time_since_epoch().count(), std::memory_order_release);
@@ -130,14 +125,13 @@ std::optional<WallTime> ReadExecStart(const ExecStartStamp& stamp) {
 
 }  // namespace
 
-size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits,
-                std::optional<size_t> preferred, const std::vector<bool>& skip) {
+size_t SwrrPick(std::vector<int64_t>& credits, std::optional<size_t> preferred,
+                const std::vector<bool>& skip) {
   auto skipped = [&skip](size_t i) { return !skip.empty() && skip[i]; };
-  double total = 0.0;
+  const auto total = static_cast<int64_t>(credits.size());
   std::optional<size_t> leader;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    credits[i] += weights[i];
-    total += weights[i];
+  for (size_t i = 0; i < credits.size(); ++i) {
+    ++credits[i];
     if (!skipped(i) && (!leader.has_value() || credits[i] > credits[*leader])) {
       leader = i;
     }
@@ -195,40 +189,35 @@ std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partiti
     // (which counts it separately from convergence attempts), not here.
     return nullptr;
   }
-  // Health-weighted smooth round-robin over the id-sorted schedulable set:
-  // every node earns credit proportional to its EWMA health score, the
-  // richest node wins and repays the total. At uniform health this is exact
-  // round-robin, while a node at score 0.5 draws half the work of its
-  // healthy peers — degraded-but-unbenched nodes shed load without the cliff
-  // of quarantine. The node caching the task's nearest narrow ancestor takes
-  // the pick instead while its credit is within one round of the leader's:
-  // unbounded locality would pile a whole stage onto the survivors of a
-  // revocation (replacements come back cold), and the credit bound keeps
-  // every pick inside the health-weighted shares. Credits live on NodeState
-  // (scheduler thread is the only writer, serialized by job_mutex_), so
-  // proportions hold across stages.
+  // Smooth round-robin over the id-sorted schedulable set: every node earns
+  // one credit per pick, the richest node wins and repays one round. Health
+  // does not weight the shares: a node is either schedulable or quarantined.
+  // The node caching the task's nearest narrow ancestor takes the pick
+  // instead while its credit is within one round of the leader's: unbounded
+  // locality would pile a whole stage onto the survivors of a revocation
+  // (replacements come back cold), and the credit bound keeps every node
+  // within about one pick of its even share. Credits live on NodeState
+  // (scheduler thread is the only writer, serialized by job_mutex_), so the
+  // shares hold across stages.
   //
   // A homeless task (no cached ancestor: restore, recompute, shuffle reduce,
   // first read) is dealt: a stage's homeless tasks go one per node before
   // any node gets a second, and only then to the leader. A cold replacement
   // wins no homed picks and so leads the credits; undealt, it would run a
   // failover's restores back to back while the survivors idle. The winner
-  // still pays the total, so the homeless picks after the deal absorb any
-  // node's homed over- or under-draw and the weighted shares hold.
+  // still repays the round, so the homeless picks after the deal absorb any
+  // node's homed over- or under-draw and the even shares hold.
   const std::optional<size_t> preferred = LineagePreferredNode(rdd, partition, live);
-  std::vector<double> weights(live.size());
-  std::vector<double> credits(live.size());
+  std::vector<int64_t> credits(live.size());
   std::vector<bool> dealt(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
-    weights[i] = std::max(live[i]->health_score.load(std::memory_order_relaxed),
-                          kMinPickWeight);
     credits[i] = live[i]->swrr_credit.load(std::memory_order_relaxed);
     dealt[i] = std::find(homeless_dealt.begin(), homeless_dealt.end(),
                          live[i]->info.node_id) != homeless_dealt.end();
   }
   const bool deal = !preferred.has_value() &&
                     std::find(dealt.begin(), dealt.end(), false) != dealt.end();
-  const size_t pick = SwrrPick(weights, credits, preferred, deal ? dealt : std::vector<bool>{});
+  const size_t pick = SwrrPick(credits, preferred, deal ? dealt : std::vector<bool>{});
   for (size_t i = 0; i < live.size(); ++i) {
     live[i]->swrr_credit.store(credits[i], std::memory_order_relaxed);
   }
@@ -307,11 +296,13 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   // P95 rides along for telemetry.
   P2Quantile p50(0.5);
   P2Quantile p95(0.95);
-  // Node health judges an attempt against the live P50 of its own stage (the
-  // estimate that arms deadlines), and not at all before quorum (0): the
+  // Node health judges a completed attempt by the speculation rule against
+  // the live P50 of its own stage, with speculation on or off: late past
+  // the deadline, on time before it, and on time before quorum, because the
   // carried P50 of a lighter stage would indict every node.
-  auto stage_p50 = [&p50, &spec_cfg] {
-    return static_cast<int>(p50.count()) >= spec_cfg.quorum ? p50.value() : 0.0;
+  auto on_time = [&p50, &spec_cfg](double seconds) {
+    return static_cast<int>(p50.count()) < spec_cfg.quorum ||
+           seconds <= spec_cfg.DeadlineSeconds(p50.value());
   };
   // Cross-stage carry-over: until the in-stage estimate reaches quorum,
   // deadlines may arm from the previous stage's P50 (carried_p50_), so short
@@ -491,8 +482,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         // The live in-stage P50 takes over as soon as it reaches quorum;
         // before that, the carried estimate stands in.
         const double p50_estimate = live_quorum ? p50.value() : carried_p50_;
-        const double deadline_s = std::max(spec_cfg.min_deadline_seconds,
-                                           spec_cfg.spec_multiplier * p50_estimate);
+        const double deadline_s = spec_cfg.DeadlineSeconds(p50_estimate);
         const WallClock::duration deadline_dur = ToClockDuration(deadline_s);
         // An attempt's clock starts when its executor actually dequeued it
         // (the exec_start stamp). Until that stamp lands the attempt is
@@ -525,7 +515,8 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
           const int slot = missed.slot;
           const NodeId from_node = missed.node->info.node_id;
           counters.task_deadline_misses.fetch_add(1, std::memory_order_relaxed);
-          ctx_->NotifyTaskDeadlineMiss(from_node);
+          ctx_->NotifyTaskJudged(from_node, WallDuration(now - effective_start(missed)).count(),
+                                 /*on_time=*/false);
           SlotState& st = slots[slot];
           if (st.done || st.outstanding >= 2) {
             continue;  // already won, or already speculated
@@ -607,11 +598,14 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
 
       if (outcome.status.ok()) {
         node_progress[node_id] = finished;
+        // A deadline miss already judged the attempt.
+        if (!attempt.deadline_missed) {
+          ctx_->NotifyTaskJudged(node_id, seconds, on_time(seconds));
+        }
         if (st.done) {
           // Duplicate success: its sibling already won. Computation is
           // deterministic so the results are bit-identical; nothing to
-          // reconcile, but the node did finish a task — report it healthy.
-          ctx_->NotifyTaskAttemptFinished(node_id, seconds, stage_p50(), true);
+          // reconcile.
           continue;
         }
         st.done = true;
@@ -622,7 +616,6 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         if (spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum) {
           ctx_->PublishStageQuantiles(p50.value(), p95.value());
         }
-        ctx_->NotifyTaskAttemptFinished(node_id, seconds, stage_p50(), true);
         if (attempt.speculative) {
           counters.speculative_wins.fetch_add(1, std::memory_order_relaxed);
         }
@@ -656,8 +649,10 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         continue;
       }
       // A genuine attempt failure (flaky node, poisoned input, user-code
-      // error): penalize the node, charge the slot's budget, back off.
-      ctx_->NotifyTaskAttemptFinished(node_id, seconds, stage_p50(), false);
+      // error): judge it late, charge the slot's budget, back off.
+      if (!attempt.deadline_missed) {
+        ctx_->NotifyTaskJudged(node_id, seconds, /*on_time=*/false);
+      }
       ++st.failures;
       if (st.failures >= spec_cfg.max_attempts_per_task) {
         fatal = Status(outcome.status.code(),

@@ -42,19 +42,17 @@ class OutcomeQueue;  // defined in dag_scheduler.cc
 // queue wait.
 using ExecStartStamp = std::shared_ptr<std::atomic<int64_t>>;
 
-// Smooth weighted round-robin (nginx-style): adds each weight to its credit,
-// picks the highest credit (first on ties), and charges the winner the total
-// weight. With equal weights this is exact round-robin;
-// with unequal weights each index is chosen in proportion to its weight,
-// evenly interleaved. A `preferred` index (locality) takes the pick instead
-// of the leader when its credit is within one round (the total weight) of
-// the leader's, so preference can skew placement by at most about one round
-// per node. Indices set in `skip` still earn their weight but never win (an
-// empty `skip` skips none; a non-empty one must leave some index unset).
+// Smooth round-robin with unit weights (nginx-style SWRR at weight 1): adds
+// one to each credit, picks the highest credit (first on ties), and charges
+// the winner one round (the number of indices), so with no preference and
+// no skip it is exact round-robin. A `preferred` index (locality) takes the
+// pick instead of the leader when its credit is within one round of the
+// leader's, so preference can skew placement by at most about one round per
+// node. Indices set in `skip` still earn credit but never win (an empty
+// `skip` skips none; a non-empty one must leave some index unset).
 // `credits` is updated in place. Exposed for unit tests; PickNode persists
 // credits on NodeState.
-size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits,
-                std::optional<size_t> preferred = std::nullopt,
+size_t SwrrPick(std::vector<int64_t>& credits, std::optional<size_t> preferred = std::nullopt,
                 const std::vector<bool>& skip = {});
 
 // The locality preference for (rdd, partition) among `nodes`: walks the
@@ -134,7 +132,7 @@ class DagScheduler {
   Status RecoverShuffle(int shuffle_id, int depth);
 
   // Picks an execution node for (rdd, partition) among nodes accepting new
-  // tasks, skipping `exclude`: health-weighted SwrrPick with the
+  // tasks, skipping `exclude`: SwrrPick (plain round-robin) with the
   // LineagePreferredNode as its bounded preference. A homeless task (no
   // preference) is dealt: while some schedulable node is missing from
   // `homeless_dealt`, the nodes in it cannot win, and the winner is added.

@@ -117,28 +117,31 @@ class EngineObserver {
   virtual void OnNodeRevoked(const NodeInfo& node) { (void)node; }
 
   // --- straggler telemetry (feeds the node-health scorer) ---
-  // One task attempt finished on `node`. `success` is true only for attempts
-  // that produced a usable result; cancelled speculative losers and attempts
-  // that died with their node are not reported. `stage_p50_seconds` is the
-  // stage's live service-time P50, or 0 until the stage reaches quorum.
-  virtual void OnTaskAttemptFinished(NodeId node, double seconds, double stage_p50_seconds,
-                                     bool success) {
+  // A task attempt on `node` was judged, once, by the speculation deadline
+  // (SpeculationConfig::DeadlineSeconds of its stage's live P50):
+  //   - a success is late (`on_time` false) when the stage's live P50 has
+  //     reached quorum and the attempt took longer than that deadline, and
+  //     on time otherwise;
+  //   - an attempt that blows its deadline while running is late at the
+  //     miss and is not judged again when it completes;
+  //   - a budgeted failure is late.
+  // Cancelled speculative losers and attempts that died with their node are
+  // not judged. `seconds` is the attempt's service time (its run time so far
+  // at a miss), excluding executor-queue wait.
+  virtual void OnTaskJudged(NodeId node, double seconds, bool on_time) {
     (void)node;
     (void)seconds;
-    (void)stage_p50_seconds;
-    (void)success;
+    (void)on_time;
   }
-  // An attempt on `node` blew through its speculation deadline (the scheduler
-  // launched, or tried to launch, a duplicate elsewhere).
-  virtual void OnTaskDeadlineMiss(NodeId node) { (void)node; }
-  // A shuffle pull over `node`'s link was classified. `throughput_ratio` is
-  // observed bytes/s over the node's modelled capacity (clamped to [0,1]);
-  // `slow` marks pulls that blew the fetch timeout. Feeds the same health
-  // EWMA as compute samples so a network-sick node quarantines too.
-  virtual void OnLinkSample(NodeId node, double throughput_ratio, bool slow) {
+  // A shuffle pull over `node`'s link ran below full speed.
+  // `throughput_ratio` is observed bytes/s over the link's modelled capacity
+  // (in (0, 1]); `late` marks a pull that blew the fetch timeout or took more
+  // than spec_multiplier times its full-speed time, the link's form of the
+  // task deadline.
+  virtual void OnLinkSample(NodeId node, double throughput_ratio, bool late) {
     (void)node;
     (void)throughput_ratio;
-    (void)slow;
+    (void)late;
   }
 
  protected:

@@ -224,17 +224,19 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
   counters.net_fetch_seconds.Observe(wait_s);
   const double ratio = capacity > 0.0 ? std::clamp(effective / capacity, 0.0, 1.0) : 0.0;
   if (!timed_out) {
-    // Degraded but within budget: report the observed ratio as a healthy
-    // sample so health scoring and market costing see the slow link even in
-    // runs with timeouts disarmed. Full-speed pulls stay silent — flooding
-    // observers with ratio-1.0 samples would just dilute real signal.
+    // Degraded but within budget: market costing sees the observed ratio
+    // even in runs with timeouts disarmed. By the speculation rule the pull
+    // is late only past spec_multiplier x its full-speed time. Full-speed
+    // pulls stay silent — flooding observers with ratio-1.0 samples would
+    // just dilute real signal.
     if (ratio < 0.999) {
-      ctx_->NotifyLinkSample(producer, ratio, /*slow=*/false);
+      ctx_->NotifyLinkSample(producer, ratio,
+                             /*late=*/ratio * cfg.speculation.spec_multiplier < 1.0);
     }
     return Status::Ok();
   }
   // Classified link-slow: this producer's NIC, not its CPU, is the problem.
-  // Feed the health scorer so a network-sick node quarantines too.
+  // The pull is late, so a network-sick node quarantines too.
   counters.net_fetches_slow.fetch_add(1, std::memory_order_relaxed);
   Tracer::Global().RecordInstant("shuffle_fetch_slow", "net",
                                  {{"producer", static_cast<double>(producer)},
@@ -244,7 +246,7 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
                                   {"bytes", static_cast<double>(bytes)},
                                   {"timeout_s", timeout_seconds},
                                   {"transfer_s", transfer_s}});
-  ctx_->NotifyLinkSample(producer, ratio, /*slow=*/true);
+  ctx_->NotifyLinkSample(producer, ratio, /*late=*/true);
   return DeadlineExceeded("shuffle " + std::to_string(shuffle_id) + " fetch from node " +
                           std::to_string(producer) + " blew the " +
                           std::to_string(timeout_seconds) + "s fetch timeout");

@@ -137,9 +137,10 @@ std::vector<std::pair<int, int>> WideCounts(FlintContext* ctx, int pairs, int ke
 // are modelled against a 1 MiB/s fleet so a healthy pull takes single-digit
 // milliseconds and a degraded pull stays under the fetch-timeout floor: the
 // job absorbs the slow link as latency, stays within 1.6x fault-free, and
-// produces bit-identical results. Healthy-but-degraded pulls report their
-// throughput ratio into node health, and the link-driven samples quarantine
-// the victim within a few jobs.
+// produces bit-identical results. Each degraded pull takes 4x its
+// full-speed time, past spec_multiplier (3) times it, so it is late and
+// scores 0 on the victim's health; the link-driven samples quarantine the
+// victim within a few jobs.
 TEST_F(SlowLinkTest, DegradedLinkLatencyBoundedAndQuarantined) {
   constexpr int kPairs = 24000;
   constexpr int kMaps = 8;
@@ -215,6 +216,49 @@ TEST_F(SlowLinkTest, DegradedLinkLatencyBoundedAndQuarantined) {
   (void)fault_free_ms;
   (void)degraded_ms;
 #endif
+}
+
+// A link degraded inside the speculation rule is a cost, not a health
+// signal: at 2x each pull from the victim takes twice its full-speed time,
+// under spec_multiplier (3) times it, so no pull is late and the producer
+// keeps a score of exactly 1.0. Every degraded pull still reaches market
+// selection, whose observed throughput for the victim's market falls.
+TEST_F(SlowLinkTest, ModeratelySlowLinkKeepsFullHealthButChargesItsMarket) {
+  constexpr int kPairs = 24000;
+  EngineHarness h{EngineHarnessOptions{.num_nodes = 0,
+                                       .model_latency = true,
+                                       .speculation = FastSpec(true),
+                                       .link_bandwidth_bytes_per_s = 1.0 * kMiB}};
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManagerConfig nm_cfg;
+  nm_cfg.cluster_size = 4;
+  NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
+  ASSERT_TRUE(nm.Start().ok());
+  const std::vector<MarketId> markets = nm.ActiveMarkets();
+  ASSERT_EQ(markets.size(), 1u);
+  const std::vector<NodeInfo> nodes = h.cluster().LiveNodes();
+  ASSERT_EQ(nodes.size(), 4u);
+
+  FaultPlan plan;
+  plan.events.push_back(SlowLinkAt(EnginePoint::kSchedulerRound, /*after_hits=*/0,
+                                   /*node_ordinal=*/0, /*slow_factor=*/2.0,
+                                   /*duration_seconds=*/30.0));
+  FaultInjector injector(&h.cluster(), plan);
+  {
+    ProbeGuard guard(&h.ctx(), &injector);
+    Status status;
+    ASSERT_EQ(WideCounts(&h.ctx(), kPairs, kPairs, 8, 8, &status).size(),
+              static_cast<size_t>(kPairs))
+        << status.ToString();
+  }
+  EXPECT_GT(injector.GetStats().fetches_slowed, 0u);
+  EXPECT_EQ(h.ctx().counters().net_fetches_slow.load(), 0u);
+  for (const NodeInfo& node : nodes) {
+    EXPECT_EQ(nm.HealthScore(node.node_id), 1.0) << "node " << node.node_id;
+  }
+  EXPECT_EQ(nm.metrics().Value("flint_node_quarantines"), 0.0);
+  EXPECT_LT(nm.selector().ObservedThroughput(markets.front()), 1.0);
 }
 
 // The timeout/retry half of the hardened fetch path: a 64x-degraded link
