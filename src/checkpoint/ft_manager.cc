@@ -400,9 +400,8 @@ void FaultToleranceManager::OnRddMaterialized(const RddPtr& rdd) {
   }
 }
 
-void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition, uint64_t bytes,
-                                                double write_seconds) {
-  (void)write_seconds;
+void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition,
+                                                uint64_t bytes) {
   RddPtr completed;
   WallTime started{};
   bool recovered = false;

@@ -132,8 +132,7 @@ class FaultToleranceManager : public EngineObserver {
   // EngineObserver:
   void OnRddCreated(const RddPtr& rdd) override;
   void OnRddMaterialized(const RddPtr& rdd) override;
-  void OnCheckpointWritten(const RddPtr& rdd, int partition, uint64_t bytes,
-                           double write_seconds) override;
+  void OnCheckpointWritten(const RddPtr& rdd, int partition, uint64_t bytes) override;
   void OnCheckpointWriteFailed(const RddPtr& rdd, int partition, const Status& status) override;
   void OnNodeWarning(const NodeInfo& node) override;
 

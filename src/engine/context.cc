@@ -47,23 +47,9 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
 }
 
 FlintContext::~FlintContext() {
-  // Stop receiving lifecycle events, then let node pools drain. Pools are
-  // waited on outside nodes_mutex_ because in-flight tasks take that lock.
+  // Stop receiving lifecycle events, then let node pools drain.
   cluster_->DrainEvents();
-  std::vector<std::shared_ptr<NodeState>> all;
-  {
-    MutexLock lock(&nodes_mutex_);
-    for (auto& [id, node] : nodes_) {
-      // flint-lint: allow(det-unordered-iter) every pool is Wait()ed on; join order is irrelevant
-      all.push_back(node);
-    }
-    for (auto& node : retired_) {
-      all.push_back(node);
-    }
-  }
-  for (auto& node : all) {
-    node->pool->Wait();
-  }
+  DrainExecutors();
   dfs_->SetLatencyModel(nullptr);
 }
 
@@ -313,9 +299,7 @@ std::vector<std::shared_ptr<NodeState>> FlintContext::SchedulableNodeStates() co
   std::vector<std::shared_ptr<NodeState>> out;
   out.reserve(nodes_.size());
   for (const auto& [id, node] : nodes_) {
-    if (!node->revoked.load(std::memory_order_acquire) &&
-        !node->draining.load(std::memory_order_acquire) &&
-        !node->quarantined.load(std::memory_order_acquire)) {
+    if (node->Schedulable()) {
       out.push_back(node);
     }
   }
@@ -379,6 +363,7 @@ std::shared_ptr<NodeState> FlintContext::GetNodeState(NodeId id) const {
 }
 
 void FlintContext::DrainExecutors() {
+  // Pools are waited on outside nodes_mutex_: in-flight tasks take that lock.
   std::vector<std::shared_ptr<NodeState>> all;
   {
     MutexLock lock(&nodes_mutex_);
@@ -397,9 +382,7 @@ void FlintContext::DrainExecutors() {
 
 bool FlintContext::HasSchedulableNodeLocked() const {
   for (const auto& [id, node] : nodes_) {
-    if (!node->revoked.load(std::memory_order_acquire) &&
-        !node->draining.load(std::memory_order_acquire) &&
-        !node->quarantined.load(std::memory_order_acquire)) {
+    if (node->Schedulable()) {
       return true;
     }
   }
@@ -457,7 +440,6 @@ Status FlintContext::WriteCheckpointData(const RddPtr& rdd, int partition, Parti
     ReleaseCheckpointWrite(path);
     return Status::Ok();
   }
-  const auto t0 = WallClock::now();
   DfsObject obj;
   obj.size_bytes = data->SizeBytes();
   obj.crc32 = PartitionFingerprint(*data, rdd->id(), partition);
@@ -480,11 +462,10 @@ Status FlintContext::WriteCheckpointData(const RddPtr& rdd, int partition, Parti
     ckpt_written_[rdd->id()][partition] = CheckpointPartitionMeta{obj.size_bytes, obj.crc32};
   }
   ReleaseCheckpointWrite(path);
-  const double seconds = WallDuration(WallClock::now() - t0).count();
   counters_.checkpoint_writes.fetch_add(1, std::memory_order_relaxed);
   counters_.checkpoint_bytes.fetch_add(data->SizeBytes(), std::memory_order_relaxed);
   for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnCheckpointWritten(rdd, partition, data->SizeBytes(), seconds);
+    obs->OnCheckpointWritten(rdd, partition, data->SizeBytes());
   }
   return Status::Ok();
 }

@@ -242,6 +242,13 @@ struct NodeState {
   // EngineConfig::default_link_bandwidth_bytes_per_s; tests override per
   // node via SetNodeLinkBandwidth to model heterogeneous fleets.
   std::atomic<double> link_bandwidth_bytes_per_s{512.0 * 1024.0 * 1024.0};
+
+  // Accepts new tasks: not revoked, not draining, not quarantined.
+  bool Schedulable() const {
+    return !revoked.load(std::memory_order_acquire) &&
+           !draining.load(std::memory_order_acquire) &&
+           !quarantined.load(std::memory_order_acquire);
+  }
 };
 
 class FlintContext : public ClusterListener {
@@ -377,14 +384,12 @@ class FlintContext : public ClusterListener {
   // Link telemetry fan-out (EngineObserver::OnLinkSample).
   void NotifyLinkSample(NodeId node, double throughput_ratio, bool late);
 
-  // --- stage service-time quantiles (published by the stage loop) ---
-  // The running stage's live (or carried) P50/P95 service times in seconds;
-  // 0 until a stage first arms. Fetch timeouts derive from the P95.
-  void PublishStageQuantiles(double p50_seconds, double p95_seconds) {
-    stage_p50_seconds_.store(p50_seconds, std::memory_order_relaxed);
+  // --- stage service-time quantile (published by the stage loop) ---
+  // The running stage's live (or carried) P95 service time in seconds; 0
+  // until a stage first arms. Fetch timeouts derive from it.
+  void PublishStageP95(double p95_seconds) {
     stage_p95_seconds_.store(p95_seconds, std::memory_order_relaxed);
   }
-  double StageP50Seconds() const { return stage_p50_seconds_.load(std::memory_order_relaxed); }
   double StageP95Seconds() const { return stage_p95_seconds_.load(std::memory_order_relaxed); }
 
   // --- fault-injection probe (src/inject/) ---
@@ -474,10 +479,9 @@ class FlintContext : public ClusterListener {
   std::atomic<int> round_robin_{0};
   std::atomic<EngineProbe*> probe_{nullptr};
 
-  // Running stage's service-time quantiles (seconds); see
-  // PublishStageQuantiles. Written by the scheduler thread, read by
-  // reduce-side tasks deriving fetch timeouts.
-  std::atomic<double> stage_p50_seconds_{0.0};
+  // Running stage's P95 service time (seconds); see PublishStageP95.
+  // Written by the scheduler thread, read by reduce-side tasks deriving
+  // fetch timeouts.
   std::atomic<double> stage_p95_seconds_{0.0};
 
   // Checkpoint write tracking: in-flight path claims (prevents double

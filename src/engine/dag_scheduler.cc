@@ -1,9 +1,12 @@
 #include "src/engine/dag_scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -22,44 +25,6 @@
 // flint-lint: allow-file(det-wallclock) deadlines, backoff, and service-time quantiles are wall-clock by design; task payloads never read the clock
 
 namespace flint {
-
-// Collects task outcomes from executor threads back to the scheduler.
-// Defined at namespace scope (not anonymous) so StageLoopSpec callbacks in
-// the header can name it by forward declaration. Held through shared_ptr by
-// the stage loop AND every in-flight task lambda: the loop may return (a
-// watchdog timeout, a fatal error, or a win whose cancelled loser is still
-// draining) while attempts are still running, and their final Push must land
-// in live memory.
-class OutcomeQueue {
- public:
-  void Push(DagScheduler::TaskOutcome outcome) {
-    MutexLock lock(&mutex_);
-    queue_.push_back(std::move(outcome));
-    cv_.NotifyOne();
-  }
-
-  // Waits up to `timeout` for an outcome; nullopt when none arrived in time
-  // (the stage loop's tick for deadline scans and the watchdog).
-  std::optional<DagScheduler::TaskOutcome> PopWithTimeout(WallDuration timeout) {
-    const WallTime deadline =
-        WallClock::now() + std::chrono::duration_cast<WallClock::duration>(timeout);
-    MutexLock lock(&mutex_);
-    while (queue_.empty()) {
-      if (WallClock::now() >= deadline) {
-        return std::nullopt;
-      }
-      cv_.WaitUntil(mutex_, deadline);
-    }
-    DagScheduler::TaskOutcome outcome = std::move(queue_.front());
-    queue_.pop_front();
-    return outcome;
-  }
-
- private:
-  Mutex mutex_{"OutcomeQueue::mutex_"};
-  CondVar cv_;
-  std::deque<DagScheduler::TaskOutcome> queue_ GUARDED_BY(mutex_);
-};
 
 namespace {
 
@@ -109,6 +74,12 @@ bool StretchCompute(TaskContext& tc, const TaskFaultDirective& directive, WallTi
       .ok();
 }
 
+// Stamped by the executor at the moment an attempt actually begins running
+// (steady-clock ticks since epoch; 0 = still queued). Shared between the
+// stage loop and the attempt so deadlines measure execution time, not queue
+// wait.
+using ExecStartStamp = std::shared_ptr<std::atomic<int64_t>>;
+
 // Stamps `stamp` with the current steady-clock tick at executor entry.
 void StampExecStart(const ExecStartStamp& stamp) {
   stamp->store(WallClock::now().time_since_epoch().count(), std::memory_order_release);
@@ -122,6 +93,112 @@ std::optional<WallTime> ReadExecStart(const ExecStartStamp& stamp) {
   }
   return WallTime(WallClock::duration(ticks));
 }
+
+// Outcome of one task attempt, pushed by its executor to the stage loop.
+struct TaskOutcome {
+  uint64_t attempt_id = 0;            // which attempt produced this outcome
+  Status status;                      // outcome
+  int failed_shuffle = -1;            // set when status is kDataLoss
+  DagScheduler::TaskPayload payload;  // a result-stage partition
+};
+
+// Collects task outcomes from executor threads back to the scheduler. Held
+// through shared_ptr by the stage loop AND every in-flight attempt: the loop
+// may return (a watchdog timeout, a fatal error, or a win whose cancelled
+// loser is still draining) while attempts are still running, and their final
+// Push must land in live memory.
+class OutcomeQueue {
+ public:
+  void Push(TaskOutcome outcome) {
+    MutexLock lock(&mutex_);
+    queue_.push_back(std::move(outcome));
+    cv_.NotifyOne();
+  }
+
+  // Waits up to `timeout` for an outcome; nullopt when none arrived in time
+  // (the stage loop's tick for deadline scans and the watchdog).
+  std::optional<TaskOutcome> PopWithTimeout(WallDuration timeout) {
+    const WallTime deadline =
+        WallClock::now() + std::chrono::duration_cast<WallClock::duration>(timeout);
+    MutexLock lock(&mutex_);
+    while (queue_.empty()) {
+      if (WallClock::now() >= deadline) {
+        return std::nullopt;
+      }
+      cv_.WaitUntil(mutex_, deadline);
+    }
+    TaskOutcome outcome = std::move(queue_.front());
+    queue_.pop_front();
+    return outcome;
+  }
+
+ private:
+  Mutex mutex_{"OutcomeQueue::mutex_"};
+  CondVar cv_;
+  std::deque<TaskOutcome> queue_ GUARDED_BY(mutex_);
+};
+
+// One launched attempt as its executor runs it. Everything is held by value,
+// for the same reason the outcome queue is shared: the attempt can outlive
+// its stage loop.
+struct TaskAttempt {
+  FlintContext* ctx = nullptr;
+  std::shared_ptr<NodeState> node;
+  RddPtr rdd;
+  int shuffle_id = -1;  // the shuffle a map task writes; -1 for a result task
+  std::function<Result<DagScheduler::TaskPayload>(TaskContext&, int)> body;
+  int partition = -1;
+  int number = 0;  // 0 = the slot's first attempt
+  uint64_t id = 0;
+  CancelToken cancel;
+  ExecStartStamp exec_start;
+  std::shared_ptr<OutcomeQueue> outcomes;
+
+  // Runs the attempt on its executor and pushes exactly one outcome: stamps
+  // exec start, opens the task span, fires the task probe, runs the fault
+  // preamble, the body and the fault stretch, and for a map task registers
+  // the map output.
+  void Run() const {
+    StampExecStart(exec_start);
+    const bool map_task = shuffle_id >= 0;
+    if (map_task) {
+      ctx->FireProbe(EnginePoint::kShuffleMapTaskRun);
+    }
+    TraceSpan task_span(map_task ? "shuffle_map_task" : "task", "task");
+    task_span.AddArg(map_task ? "shuffle" : "rdd", map_task ? shuffle_id : rdd->id());
+    task_span.AddArg(map_task ? "map" : "partition", partition);
+    task_span.AddArg("node", node->info.node_id);
+    task_span.AddArg("attempt", number);
+    TaskContext tc(ctx, node, cancel);
+    TaskRunInfo info;
+    info.node = node->info.node_id;
+    info.rdd_id = map_task ? -1 : rdd->id();
+    info.shuffle_id = shuffle_id;
+    info.partition = partition;
+    info.attempt = number;
+    const TaskFaultDirective directive = ctx->FireTaskProbe(info);
+    const WallTime t0 = WallClock::now();
+    TaskOutcome outcome;
+    outcome.attempt_id = id;
+    if (RunFaultPreamble(tc, directive, &outcome.status)) {
+      Result<DagScheduler::TaskPayload> payload = body(tc, partition);
+      if (!payload.ok()) {
+        outcome.status = payload.status();
+        outcome.failed_shuffle = tc.failed_shuffle();
+      } else if (!StretchCompute(tc, directive, t0) || (map_task && tc.Cancelled())) {
+        // A cancelled map task registers nothing.
+        outcome.status = Unavailable("task attempt cancelled mid-compute");
+      } else if (map_task) {
+        ctx->shuffles().RegisterMapOutput(shuffle_id, partition, tc.node_id(),
+                                          std::move(payload).value());
+        ctx->FireProbe(EnginePoint::kShuffleMapTaskDone);
+      } else {
+        outcome.payload = std::move(payload).value();
+      }
+    }
+    outcomes->Push(std::move(outcome));
+  }
+};
 
 }  // namespace
 
@@ -288,12 +365,53 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   std::unordered_map<NodeId, WallTime> node_progress;
   // Nodes dealt one of this stage's homeless tasks (PickNode).
   std::vector<NodeId> homeless_dealt;
+  auto outcomes = std::make_shared<OutcomeQueue>();
+
+  // Picks a node for `slot`, skipping `exclude`: nullptr when nothing is
+  // schedulable.
+  auto pick = [&](int slot, NodeId exclude) {
+    return PickNode(spec.rdd, spec.partition(slot), homeless_dealt, exclude);
+  };
+  // Launches one attempt of `slot` on `node`: a first attempt or retry from
+  // the dispatch sweep, or a speculative duplicate. False when the node's
+  // pool rejected it (closed under us).
+  auto launch = [&](int slot, const std::shared_ptr<NodeState>& node, bool speculative) {
+    SlotState& st = slots[slot];
+    TaskAttempt task{.ctx = ctx_,
+                     .node = node,
+                     .rdd = spec.rdd,
+                     .shuffle_id = spec.shuffle_id,
+                     .body = spec.body,
+                     .partition = spec.partition(slot),
+                     .number = st.attempts_started,
+                     .id = next_attempt_id++,
+                     .cancel = MakeCancelToken(),
+                     .exec_start = std::make_shared<std::atomic<int64_t>>(0),
+                     .outcomes = outcomes};
+    AttemptState attempt;
+    attempt.slot = slot;
+    attempt.node = node;
+    attempt.exec_start = task.exec_start;
+    attempt.cancel = task.cancel;
+    attempt.speculative = speculative;
+    const uint64_t id = task.id;
+    if (!node->pool->Submit([task = std::move(task)] { task.Run(); })) {
+      return false;
+    }
+    counters.tasks_run.fetch_add(1, std::memory_order_relaxed);
+    attempt.submitted = WallClock::now();
+    node_progress.emplace(node->info.node_id, attempt.submitted);
+    attempts.emplace(id, std::move(attempt));
+    ++st.outstanding;
+    ++st.attempts_started;
+    return true;
+  };
 
   // Streaming quantiles over winning-attempt service times: completion minus
   // max(submission, the node's previous completion), i.e. the slice of wall
   // clock the task actually occupied its node, not its wait in queue. P50
   // drives the speculation deadline once `quorum` wins have been observed;
-  // P95 rides along for telemetry.
+  // P95 arms the shuffle-fetch timeout.
   P2Quantile p50(0.5);
   P2Quantile p95(0.95);
   // Node health judges a completed attempt by the speculation rule against
@@ -310,13 +428,10 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   const bool seed_available = spec_cfg.enabled &&
                               carried_count_ >= static_cast<size_t>(spec_cfg.quorum);
   bool seed_counted = false;
-  // The fetch-timeout quantiles mirror deadline arming: carried values stand
-  // in until the live estimate reaches quorum; with neither, timeouts stay
-  // disarmed (published 0) rather than trusting a stale stage's shape.
-  ctx_->PublishStageQuantiles(seed_available ? carried_p50_ : 0.0,
-                              seed_available ? carried_p95_ : 0.0);
-
-  auto outcomes = std::make_shared<OutcomeQueue>();
+  // The fetch-timeout quantile mirrors deadline arming: the carried P95
+  // stands in until the live estimate reaches quorum; with neither, timeouts
+  // stay disarmed (published 0) rather than trusting a stale stage's shape.
+  ctx_->PublishStageP95(seed_available ? carried_p95_ : 0.0);
 
   const WallTime stage_start = WallClock::now();
   const bool watchdog_on = spec_cfg.stage_watchdog_seconds > 0.0;
@@ -392,28 +507,13 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         earliest_retry = std::min(earliest_retry, st.next_eligible);
         continue;
       }
-      std::shared_ptr<NodeState> node = spec.pick(slot, /*exclude=*/-1, homeless_dealt);
+      std::shared_ptr<NodeState> node = pick(slot, /*exclude=*/-1);
       if (node == nullptr) {
         break;  // nothing schedulable; park below if nothing is in flight
       }
-      CancelToken cancel = MakeCancelToken();
-      auto exec_start = std::make_shared<std::atomic<int64_t>>(0);
-      const uint64_t attempt_id = next_attempt_id++;
-      if (!spec.submit(slot, node, cancel, attempt_id, st.attempts_started, exec_start,
-                       outcomes)) {
+      if (!launch(slot, node, /*speculative=*/false)) {
         continue;  // pool closed under us; the slot is re-examined next sweep
       }
-      counters.tasks_run.fetch_add(1, std::memory_order_relaxed);
-      AttemptState attempt;
-      attempt.slot = slot;
-      attempt.node = node;
-      attempt.submitted = WallClock::now();
-      attempt.exec_start = std::move(exec_start);
-      attempt.cancel = std::move(cancel);
-      node_progress.emplace(node->info.node_id, attempt.submitted);
-      attempts.emplace(attempt_id, std::move(attempt));
-      ++st.outstanding;
-      ++st.attempts_started;
       ++submitted;
     }
     counters.stage_rounds.fetch_add(1, std::memory_order_relaxed);
@@ -521,18 +621,13 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
           if (st.done || st.outstanding >= 2) {
             continue;  // already won, or already speculated
           }
-          std::shared_ptr<NodeState> other = spec.pick(slot, from_node, homeless_dealt);
+          std::shared_ptr<NodeState> other = pick(slot, from_node);
           if (other == nullptr) {
             continue;  // nowhere else to run; the original may yet finish
           }
-          CancelToken cancel = MakeCancelToken();
-          auto dup_start = std::make_shared<std::atomic<int64_t>>(0);
-          const uint64_t dup_id = next_attempt_id++;
-          if (!spec.submit(slot, other, cancel, dup_id, st.attempts_started, dup_start,
-                           outcomes)) {
+          if (!launch(slot, other, /*speculative=*/true)) {
             continue;
           }
-          counters.tasks_run.fetch_add(1, std::memory_order_relaxed);
           counters.tasks_speculated.fetch_add(1, std::memory_order_relaxed);
           Tracer::Global().RecordInstant(
               "task_speculated", "scheduler",
@@ -540,17 +635,6 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
                {"from_node", static_cast<double>(from_node)},
                {"to_node", static_cast<double>(other->info.node_id)},
                {"deadline_seconds", deadline_s}});
-          AttemptState dup;
-          dup.slot = slot;
-          dup.node = std::move(other);
-          dup.submitted = WallClock::now();
-          dup.exec_start = std::move(dup_start);
-          dup.cancel = std::move(cancel);
-          dup.speculative = true;
-          node_progress.emplace(dup.node->info.node_id, dup.submitted);
-          attempts.emplace(dup_id, std::move(dup));
-          ++st.outstanding;
-          ++st.attempts_started;
         }
         for (const auto& [id, attempt] : attempts) {
           if (!attempt.deadline_missed) {
@@ -614,7 +698,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         // Once the in-stage estimate reaches quorum it also drives the
         // shuffle-fetch timeout (TaskContext::FetchTimeoutSeconds).
         if (spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum) {
-          ctx_->PublishStageQuantiles(p50.value(), p95.value());
+          ctx_->PublishStageP95(p95.value());
         }
         if (attempt.speculative) {
           counters.speculative_wins.fetch_add(1, std::memory_order_relaxed);
@@ -626,7 +710,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
             counters.tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        progress = spec.on_success(std::move(outcome)) || progress;
+        progress = spec.on_success(attempt.slot, std::move(outcome.payload)) || progress;
         continue;
       }
 
@@ -721,58 +805,14 @@ Status DagScheduler::RunShuffleStage(const std::shared_ptr<ShuffleInfo>& shuffle
     ctx_->FireProbe(EnginePoint::kBeforeShuffleMapDispatch);
     return shuffles.MissingMaps(shuffle->shuffle_id);
   };
-  spec.pick = [this, &map_rdd](int slot, NodeId exclude, std::vector<NodeId>& dealt) {
-    return PickNode(map_rdd, slot, dealt, exclude);
-  };
-  spec.submit = [this, &shuffle, &map_rdd](int m, const std::shared_ptr<NodeState>& node,
-                                           const CancelToken& cancel, uint64_t attempt_id,
-                                           int attempt_number, const ExecStartStamp& exec_start,
-                                           const std::shared_ptr<OutcomeQueue>& outcomes) {
-    const int shuffle_id = shuffle->shuffle_id;
-    return node->pool->Submit([this, node, map_rdd, m, shuffle_id, shuffle,
-                               cancel, attempt_id, attempt_number, exec_start, outcomes] {
-      StampExecStart(exec_start);
-      ctx_->FireProbe(EnginePoint::kShuffleMapTaskRun);
-      TraceSpan task_span("shuffle_map_task", "task");
-      task_span.AddArg("shuffle", shuffle_id);
-      task_span.AddArg("map", m);
-      task_span.AddArg("node", node->info.node_id);
-      task_span.AddArg("attempt", attempt_number);
-      TaskContext tc(ctx_, node, cancel);
-      TaskOutcome outcome;
-      outcome.attempt_id = attempt_id;
-      outcome.index = m;
-      TaskRunInfo info;
-      info.node = node->info.node_id;
-      info.shuffle_id = shuffle_id;
-      info.partition = m;
-      info.attempt = attempt_number;
-      const TaskFaultDirective directive = ctx_->FireTaskProbe(info);
-      const WallTime t0 = WallClock::now();
-      if (!RunFaultPreamble(tc, directive, &outcome.status)) {
-        outcomes->Push(std::move(outcome));
-        return;
-      }
-      Result<std::vector<PartitionPtr>> buckets = tc.ComputeShuffleBuckets(map_rdd, m, *shuffle);
-      if (!buckets.ok()) {
-        outcome.status = buckets.status();
-        outcome.failed_shuffle = tc.failed_shuffle();
-        outcomes->Push(std::move(outcome));
-        return;
-      }
-      if (!StretchCompute(tc, directive, t0) || tc.Cancelled()) {
-        outcome.status = Unavailable("task attempt cancelled during shuffle write");
-        outcomes->Push(std::move(outcome));
-        return;
-      }
-      ctx_->shuffles().RegisterMapOutput(shuffle_id, m, tc.node_id(), std::move(buckets).value());
-      ctx_->FireProbe(EnginePoint::kShuffleMapTaskDone);
-      outcome.status = Status::Ok();
-      outcomes->Push(std::move(outcome));
-    });
+  spec.rdd = map_rdd;
+  spec.partition = [](int m) { return m; };
+  spec.shuffle_id = shuffle->shuffle_id;
+  spec.body = [map_rdd, shuffle](TaskContext& tc, int m) {
+    return tc.ComputeShuffleBuckets(map_rdd, m, *shuffle);
   };
   // A successful map task registered a previously missing output.
-  spec.on_success = [](TaskOutcome&&) { return true; };
+  spec.on_success = [](int, TaskPayload&&) { return true; };
   return RunStageLoop(spec);
 }
 
@@ -807,8 +847,8 @@ Result<std::vector<PartitionPtr>> DagScheduler::MaterializePartitions(
   stage_span.AddArg("rdd", rdd->id());
   stage_span.AddArg("partitions", static_cast<double>(partitions.size()));
 
-  // Outcome indices are slots into `partitions`, not partition numbers, so
-  // the result vector mirrors the request order.
+  // Slots index `partitions`, not partition numbers, so the result vector
+  // mirrors the request order.
   const size_t n = partitions.size();
   std::vector<PartitionPtr> results(n);
   std::vector<bool> done(n, false);
@@ -829,59 +869,16 @@ Result<std::vector<PartitionPtr>> DagScheduler::MaterializePartitions(
     }
     return missing;
   };
-  spec.pick = [this, &rdd, &partitions](int slot, NodeId exclude, std::vector<NodeId>& dealt) {
-    return PickNode(rdd, partitions[static_cast<size_t>(slot)], dealt, exclude);
+  spec.rdd = rdd;
+  spec.partition = [&partitions](int slot) { return partitions[static_cast<size_t>(slot)]; };
+  spec.body = [rdd](TaskContext& tc, int p) -> Result<TaskPayload> {
+    FLINT_ASSIGN_OR_RETURN(PartitionPtr data, tc.GetPartition(rdd, p));
+    return TaskPayload{std::move(data)};
   };
-  spec.submit = [this, &rdd, &partitions](int slot, const std::shared_ptr<NodeState>& node,
-                                          const CancelToken& cancel, uint64_t attempt_id,
-                                          int attempt_number, const ExecStartStamp& exec_start,
-                                          const std::shared_ptr<OutcomeQueue>& outcomes) {
-    const int p = partitions[static_cast<size_t>(slot)];
-    return node->pool->Submit([this, node, rdd, slot, p, cancel, attempt_id, attempt_number,
-                               exec_start, outcomes] {
-      StampExecStart(exec_start);
-      TraceSpan task_span("task", "task");
-      task_span.AddArg("rdd", rdd->id());
-      task_span.AddArg("partition", p);
-      task_span.AddArg("node", node->info.node_id);
-      task_span.AddArg("attempt", attempt_number);
-      TaskContext tc(ctx_, node, cancel);
-      TaskOutcome outcome;
-      outcome.attempt_id = attempt_id;
-      outcome.index = slot;
-      TaskRunInfo info;
-      info.node = node->info.node_id;
-      info.rdd_id = rdd->id();
-      info.partition = p;
-      info.attempt = attempt_number;
-      const TaskFaultDirective directive = ctx_->FireTaskProbe(info);
-      const WallTime t0 = WallClock::now();
-      if (!RunFaultPreamble(tc, directive, &outcome.status)) {
-        outcomes->Push(std::move(outcome));
-        return;
-      }
-      Result<PartitionPtr> data = tc.GetPartition(rdd, p);
-      if (data.ok()) {
-        if (!StretchCompute(tc, directive, t0)) {
-          outcome.status = Unavailable("task attempt cancelled mid-compute");
-        } else {
-          outcome.status = Status::Ok();
-          outcome.data = std::move(data).value();
-        }
-      } else {
-        outcome.status = data.status();
-        outcome.failed_shuffle = tc.failed_shuffle();
-      }
-      outcomes->Push(std::move(outcome));
-    });
-  };
-  spec.on_success = [&results, &done, &remaining](TaskOutcome&& outcome) {
-    const size_t idx = static_cast<size_t>(outcome.index);
-    if (done[idx]) {
-      return false;  // duplicate completion (re-dispatch raced a slow task)
-    }
+  spec.on_success = [&results, &done, &remaining](int slot, TaskPayload&& payload) {
+    const size_t idx = static_cast<size_t>(slot);
     done[idx] = true;
-    results[idx] = std::move(outcome.data);
+    results[idx] = std::move(payload.front());
     --remaining;
     return true;
   };

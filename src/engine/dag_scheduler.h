@@ -19,7 +19,6 @@
 #ifndef SRC_ENGINE_DAG_SCHEDULER_H_
 #define SRC_ENGINE_DAG_SCHEDULER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -34,13 +33,6 @@ namespace flint {
 
 class FlintContext;
 struct NodeState;
-class OutcomeQueue;  // defined in dag_scheduler.cc
-
-// Stamped by the executor at the moment an attempt actually begins running
-// (steady-clock ticks since epoch; 0 = still queued). Shared between the
-// stage loop and the task lambda so deadlines measure execution time, not
-// queue wait.
-using ExecStartStamp = std::shared_ptr<std::atomic<int64_t>>;
 
 // Smooth round-robin with unit weights (nginx-style SWRR at weight 1): adds
 // one to each credit, picks the highest credit (first on ties), and charges
@@ -78,23 +70,20 @@ class DagScheduler {
   Result<std::vector<PartitionPtr>> MaterializePartitions(const RddPtr& rdd,
                                                           const std::vector<int>& partitions);
 
-  // Outcome of one dispatched task attempt (public so the completion queue
-  // in the implementation file can carry it).
-  struct TaskOutcome {
-    uint64_t attempt_id = 0;      // which attempt produced this outcome
-    int index = -1;               // partition (result stage) or map partition
-    Status status;                // outcome
-    int failed_shuffle = -1;      // set when status is kDataLoss
-    PartitionPtr data;            // result-stage payload
-  };
+  // What a task body computes: a result task's partition, or a map task's
+  // buckets. The buckets are registered on the executor, so a map win hands
+  // on_success an empty payload.
+  using TaskPayload = std::vector<PartitionPtr>;
 
  private:
   // Both stage kinds (shuffle-map and result) run through one retry loop so
-  // their park/retry/speculation behaviour cannot drift. Each cycle submits
+  // their park/retry/speculation behaviour cannot drift. Each cycle launches
   // one attempt for every missing slot that has none outstanding, parks on
   // WaitForLiveNode when the cluster has nothing schedulable, then consumes
   // outcomes while enforcing per-attempt speculation deadlines and the
-  // stage watchdog. Stage kinds plug in via the callbacks; slot ids are
+  // stage watchdog. The loop alone launches, runs and reports attempts
+  // (first attempts, retries and speculative duplicates alike); a stage kind
+  // supplies its slots, its task and what to do with a win. Slot ids are
   // stable within one RunStageLoop call (map partition for shuffle stages,
   // request index for result stages).
   struct StageLoopSpec {
@@ -105,22 +94,23 @@ class DagScheduler {
     std::function<Status()> prepare;  // runs before each dispatch sweep
     // Slots still missing a usable result, in dispatch order.
     std::function<std::vector<int>()> missing;
-    // Node choice for `slot`, skipping `exclude` (speculative duplicates must
-    // land elsewhere; -1 excludes nothing). `homeless_dealt` is the stage's
-    // PickNode deal. nullptr = nothing schedulable.
-    std::function<std::shared_ptr<NodeState>(int slot, NodeId exclude,
-                                             std::vector<NodeId>& homeless_dealt)>
-        pick;
-    // Submits one attempt; false if the node's pool rejected it. The task
-    // must stamp `exec_start` the moment it begins executing and push exactly
-    // one TaskOutcome carrying `attempt_id` to `outcomes`.
-    std::function<bool(int slot, const std::shared_ptr<NodeState>& node,
-                       const CancelToken& cancel, uint64_t attempt_id, int attempt_number,
-                       const ExecStartStamp& exec_start,
-                       const std::shared_ptr<OutcomeQueue>& outcomes)>
-        submit;
-    // Consumes one winning outcome; returns true if it made new progress.
-    std::function<bool(TaskOutcome&&)> on_success;
+    // A slot's task computes partition `partition(slot)` of `rdd` and is
+    // placed by that pair (PickNode).
+    RddPtr rdd;
+    std::function<int(int slot)> partition;
+    // The shuffle a map stage writes; -1 for a result stage. It names the
+    // task: a map task fires kShuffleMapTaskRun, opens a "shuffle_map_task"
+    // span and reports `shuffle_id` to the task probe, where a result task
+    // opens a "task" span and reports `rdd`'s id. A map task registers its
+    // payload as the map output on the executor, after the fault stretch and
+    // only if not cancelled, then fires kShuffleMapTaskDone.
+    int shuffle_id = -1;
+    // Computes one partition on the executor, after the fault preamble. It
+    // can outlive the loop (a cancelled loser may still be running when the
+    // loop returns), so it captures by value.
+    std::function<Result<TaskPayload>(TaskContext& tc, int partition)> body;
+    // Consumes a slot's winning payload; returns true if it made progress.
+    std::function<bool(int slot, TaskPayload&& payload)> on_success;
   };
   Status RunStageLoop(const StageLoopSpec& spec);
 

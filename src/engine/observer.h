@@ -97,12 +97,10 @@ class EngineObserver {
   // Every partition of `rdd` has been computed at least once.
   virtual void OnRddMaterialized(const RddPtr& rdd) { (void)rdd; }
   // A checkpoint write for (rdd, partition) completed durably.
-  virtual void OnCheckpointWritten(const RddPtr& rdd, int partition, uint64_t bytes,
-                                   double write_seconds) {
+  virtual void OnCheckpointWritten(const RddPtr& rdd, int partition, uint64_t bytes) {
     (void)rdd;
     (void)partition;
     (void)bytes;
-    (void)write_seconds;
   }
   // A checkpoint write for (rdd, partition) exhausted its retry budget and
   // was abandoned. The fault-tolerance manager uses a run of these to enter

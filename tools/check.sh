@@ -447,8 +447,10 @@ run_obs_slowlink
 # BlockManagers (a remote read takes the block) while executors and
 # checkpoint writers read both, and judges node health from completions
 # while the scheduler places. Latency* cancels the one wait from another
-# thread.
-run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:RecoveryPlacement*:Latency*'
+# thread. AttemptPath* runs every attempt through the one launch routine and
+# attempt runner: executor threads push outcomes the scheduler thread
+# consumes, and each attempt holds its stage's body by value.
+run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:RecoveryPlacement*:Latency*:AttemptPath*'
 # Fusion*/ShufflePath* under ASan: a chain's sinks hold references into one
 # another and into the terminal for exactly one run. LocalityPlacement*/
 # RecoveryPlacement*: a moved block's PartitionPtr changes BlockManager while
@@ -457,7 +459,7 @@ run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsF
 # The UBSan build aborts on the first finding (-fno-sanitize-recover).
 # ShufflePath* folds its combiners in unsigned arithmetic, so signed overflow
 # in a test combine shows up here; Latency* covers the one wait's arithmetic;
-# RecoveryPlacement* the round-robin credits.
-run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*'
+# RecoveryPlacement* the round-robin credits; AttemptPath* the attempt path.
+run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*:AttemptPath*'
 
 summary
