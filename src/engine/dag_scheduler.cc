@@ -185,8 +185,9 @@ struct TaskAttempt {
       if (!payload.ok()) {
         outcome.status = payload.status();
         outcome.failed_shuffle = tc.failed_shuffle();
-      } else if (!StretchCompute(tc, directive, t0) || (map_task && tc.Cancelled())) {
-        // A cancelled map task registers nothing.
+      } else if (!StretchCompute(tc, directive, t0) || tc.Cancelled()) {
+        // A cancelled attempt reports nothing, even when its body finished:
+        // a map task registers no output, and a reaped loser is not judged.
         outcome.status = Unavailable("task attempt cancelled mid-compute");
       } else if (map_task) {
         ctx->shuffles().RegisterMapOutput(shuffle_id, partition, tc.node_id(),

@@ -27,7 +27,8 @@
 // operator attaches a FusionOps to its Rdd whose type knowledge lives inside
 // the closure built by the typed API. A chain is torn down with exactly one
 // Flush sweep so buffering operators (per-partition folds) can emit their
-// pending output.
+// pending output. An operator that checks its rows (KeyPartitioned) reports a
+// violation through status(); the chain run fails with it.
 
 #ifndef SRC_ENGINE_FUSION_H_
 #define SRC_ENGINE_FUSION_H_
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/engine/partition.h"
 
 namespace flint {
@@ -67,6 +69,10 @@ class FusionSink {
   // Streams every row of `input`, a materialized partition of this sink's
   // input type, through the sink in kFusionBatchRows spans, then Flushes.
   virtual void DriveRows(const PartitionData& input) = 0;
+
+  // Read after the Flush sweep: a non-OK status fails the chain run (and so
+  // the task). Only checking operators override it.
+  virtual Status status() const { return Status::Ok(); }
 };
 
 template <typename T>

@@ -96,13 +96,14 @@ class Rdd : public std::enable_shared_from_this<Rdd> {
   void set_fusion_ops(std::shared_ptr<const FusionOps> ops) { fusion_ops_ = std::move(ops); }
 
   // Key partitioning of a pair RDD. N > 0 promises that the RDD has N
-  // partitions, that every row sits in the partition a map-side bucket sink
-  // would route its key to (HashOf(key) masked or mod N, see BucketMaskFor in
-  // typed_rdd.h), and that each partition is key-sorted. 0 means unknown.
-  // Set by ReduceByKey, GroupByKey, Join and CoGroup, kept by MapValues,
-  // dropped (0) by everything else. Join/CoGroup skip the shuffle when both
-  // inputs already match their partition count. Set once on the driver
-  // right after construction, like the fusion surface.
+  // partitions, that every row sits in the partition KeyPartitionOf(key, N)
+  // names (typed_rdd.h; the rule the map-side bucket sinks route by), and
+  // that each partition is key-sorted. 0 means unknown. Set by ReduceByKey,
+  // GroupByKey, Join, CoGroup and the checked KeyPartitioned declaration,
+  // kept by MapValues and Filter, dropped (0) by everything else. A keyed
+  // operator into N partitions reads such an input in place instead of
+  // shuffling it. Set once on the driver right after construction, like the
+  // fusion surface.
   int key_partitions() const { return key_partitions_; }
   void set_key_partitions(int n) { key_partitions_ = n; }
 

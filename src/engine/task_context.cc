@@ -139,6 +139,9 @@ Result<TaskContext::ChainRun> TaskContext::RunChain(const FusionOps* head, const
   if (Cancelled()) {
     return Unavailable("node revoked during compute");
   }
+  for (const auto& adapter : adapters) {
+    FLINT_RETURN_IF_ERROR(adapter->status());
+  }
 
   // Every operator but the head streamed its rows without building its
   // partition.

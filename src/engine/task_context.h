@@ -73,7 +73,8 @@ class TaskContext {
   // (uncached, unmarked, at most one live consumer); the first RDD that is
   // not is the barrier, materialized through GetPartition. The runner then
   // builds the terminal, stacks every operator's sink on it and drives the
-  // barrier rows through the stack with one Flush.
+  // barrier rows through the stack with one Flush. An operator whose
+  // status() is then non-OK fails the run with that status.
   Result<ChainRun> RunChain(const FusionOps* head, const RddPtr& below, int partition,
                             const TerminalFn& make_terminal);
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -107,14 +108,16 @@ class TypedRdd {
                                  }));
   }
 
+  // Keeps the parent's key partitioning: dropping rows moves and reorders
+  // none of the rest.
   template <typename F>
   TypedRdd<T> Filter(F pred, std::string name = "filter") const {
-    return TypedRdd<T>(ctx_, rdd_internal::MakeStreamingRdd<T>(
-                                 ctx_, rdd_, std::move(name), /*keeps_rows=*/false,
-                                 [pred](int, TypedSink<T>& down) {
-                                   return std::make_unique<fusion_internal::FilterSink<T, F>>(
-                                       pred, down);
-                                 }));
+    RddPtr out = rdd_internal::MakeStreamingRdd<T>(
+        ctx_, rdd_, std::move(name), /*keeps_rows=*/false, [pred](int, TypedSink<T>& down) {
+          return std::make_unique<fusion_internal::FilterSink<T, F>>(pred, down);
+        });
+    out->set_key_partitions(rdd_->key_partitions());
+    return TypedRdd<T>(ctx_, std::move(out));
   }
 
   // fn: const std::vector<T>& -> std::vector<U>, applied per partition.
@@ -175,8 +178,20 @@ class TypedRdd {
   // value on its executor, and the driver folds the partials in partition
   // order — so only associativity (not commutativity) is required, and the
   // result matches a left fold over the concatenated partitions exactly.
+  // An empty RDD is a FailedPrecondition.
   template <typename F>
   Result<T> Reduce(F fn) const {
+    FLINT_ASSIGN_OR_RETURN(std::optional<T> acc, MaybeReduce(std::move(fn)));
+    if (!acc.has_value()) {
+      return FailedPrecondition("Reduce on empty RDD");
+    }
+    return std::move(*acc);
+  }
+
+  // Reduce for an RDD that may be empty: the same single job and fold, with
+  // nullopt for no rows.
+  template <typename F>
+  Result<std::optional<T>> MaybeReduce(F fn) const {
     RddPtr partial = rdd_internal::MakeStreamingRdd<T>(
         ctx_, rdd_, "reduce-partial", /*keeps_rows=*/false, [fn](int, TypedSink<T>& down) {
           return std::make_unique<fusion_internal::FoldSink<T, F>>(fn, down);
@@ -184,13 +199,13 @@ class TypedRdd {
     FLINT_ASSIGN_OR_RETURN(std::vector<T> partials,
                            TypedRdd<T>(ctx_, std::move(partial)).Collect());
     if (partials.empty()) {
-      return FailedPrecondition("Reduce on empty RDD");
+      return std::optional<T>();
     }
     T acc = std::move(partials.front());
     for (size_t i = 1; i < partials.size(); ++i) {
       acc = fn(acc, partials[i]);
     }
-    return acc;
+    return std::optional<T>(std::move(acc));
   }
 
   // Forces computation (and caching/checkpoint writes) without collecting.
@@ -258,6 +273,25 @@ auto Generate(FlintContext* ctx, int num_partitions, F fn, std::string name = "g
 // merge + combine instead of rebuilding a hash table. The map-side combiner
 // uses FlatHashMap (flat_hash.h), whose insertion-order iteration keeps it
 // deterministic.
+//
+// An input already key-partitioned into the reduce count
+// (Rdd::key_partitions) is not shuffled: reduce partition j reads its
+// partition j over a narrow dependency as its only bucket
+// (rdd_internal::KeyedInput, ReadBuckets).
+// A shuffle would deliver the same rows in the same order: map partition j
+// holds only keys routed to j, key-sorted, so it is bucket j of the one map
+// task with anything for reduce j. Both plans are bit-identical.
+
+// The one key-to-partition rule. Both bucket sinks route rows by it, and a
+// key-partitioned RDD (Rdd::key_partitions) promises that every row sits in
+// the partition it names. For a power-of-two count (the common case)
+// `h & (n-1)` equals `h % n` and spares the hot loops a hardware division.
+template <typename K>
+int KeyPartitionOf(const K& key, int num_partitions) {
+  const size_t h = HashOf(key);
+  const auto n = static_cast<size_t>(num_partitions);
+  return static_cast<int>((n & (n - 1)) == 0 ? (h & (n - 1)) : (h % n));
+}
 
 namespace rdd_internal {
 
@@ -265,17 +299,11 @@ namespace rdd_internal {
 // stable-sorts each bucket by key: per-key row order stays (arrival order),
 // i.e. (map partition, row index), while the sorted-bucket invariant enables
 // the reduce-side merge.
-// Bucket-index fast path: for power-of-two bucket counts (the common case)
-// `h & (n-1)` equals `h % n`, sparing the hot loops a hardware division per
-// row. Zero means "no mask, divide".
-inline size_t BucketMaskFor(size_t n) { return (n & (n - 1)) == 0 ? n - 1 : 0; }
-
 template <typename K, typename V>
 class PlainBucketSink final : public TypedSink<std::pair<K, V>> {
  public:
   PlainBucketSink(int num_buckets, size_t expected_rows)
-      : buckets_(static_cast<size_t>(num_buckets)),
-        bucket_mask_(BucketMaskFor(buckets_.size())) {
+      : buckets_(static_cast<size_t>(num_buckets)) {
     // A uniform hash puts ~rows/buckets records in each bucket; reserving
     // that up front avoids the per-bucket reallocation churn.
     const size_t expect = expected_rows / buckets_.size() + 1;
@@ -287,11 +315,9 @@ class PlainBucketSink final : public TypedSink<std::pair<K, V>> {
   void Push(const std::pair<K, V>* rec, size_t n) override {
     rows_in_ += n;
     auto* const buckets = buckets_.data();
-    const size_t num_buckets = buckets_.size();
-    const size_t mask = bucket_mask_;
+    const int num_buckets = static_cast<int>(buckets_.size());
     for (size_t i = 0; i < n; ++i) {
-      const size_t h = HashOf(rec[i].first);
-      buckets[mask != 0 ? (h & mask) : (h % num_buckets)].push_back(rec[i]);
+      buckets[KeyPartitionOf(rec[i].first, num_buckets)].push_back(rec[i]);
     }
   }
 
@@ -310,7 +336,6 @@ class PlainBucketSink final : public TypedSink<std::pair<K, V>> {
 
  private:
   std::vector<std::vector<std::pair<K, V>>> buckets_;
-  const size_t bucket_mask_;
   uint64_t rows_in_ = 0;
 };
 
@@ -323,8 +348,7 @@ class CombineBucketSink final : public TypedSink<std::pair<K, V>> {
   CombineBucketSink(int num_buckets, size_t expected_rows, Combine combine,
                     EngineCounters* counters)
       : combine_(std::move(combine)), counters_(counters),
-        maps_(static_cast<size_t>(num_buckets)),
-        bucket_mask_(BucketMaskFor(maps_.size())) {
+        maps_(static_cast<size_t>(num_buckets)) {
     // The combiner holds unique keys, not rows; low-cardinality aggregations
     // (the common case) would waste a table sized for rows/buckets on a
     // handful of keys, so cap the pre-size and let growth cover the rest.
@@ -336,16 +360,16 @@ class CombineBucketSink final : public TypedSink<std::pair<K, V>> {
 
   void Push(const std::pair<K, V>* rec, size_t n) override {
     rows_in_ += n;
-    // Hot loop: hash once per row (the bucket index and the map probe share
-    // it) and keep the hit count in a register, not a member store per row.
+    // Hot loop: hash once per row (the routing rule and the map probe share
+    // it; both inline) and keep the hit count in a register, not a member
+    // store per row.
     auto* const maps = maps_.data();
-    const size_t num_buckets = maps_.size();
-    const size_t mask = bucket_mask_;
+    const int num_buckets = static_cast<int>(maps_.size());
     uint64_t hits = 0;
     for (size_t i = 0; i < n; ++i) {
-      const size_t h = HashOf(rec[i].first);
-      auto [slot, inserted] = maps[mask != 0 ? (h & mask) : (h % num_buckets)]
-                                  .FindOrEmplaceHashed(h, rec[i].first, rec[i].second);
+      const K& key = rec[i].first;
+      auto [slot, inserted] = maps[KeyPartitionOf(key, num_buckets)].FindOrEmplaceHashed(
+          HashOf(key), key, rec[i].second);
       if (!inserted) {
         *slot = combine_(*slot, rec[i].second);
         ++hits;
@@ -374,7 +398,6 @@ class CombineBucketSink final : public TypedSink<std::pair<K, V>> {
   Combine combine_;
   EngineCounters* counters_;
   std::vector<FlatHashMap<K, V, KeyHasher<K>>> maps_;
-  const size_t bucket_mask_;
   uint64_t rows_in_ = 0;
   uint64_t combine_hits_ = 0;
 };
@@ -406,11 +429,13 @@ BucketTerminalFactory MakeCombineBucketFactory(Combine combine, EngineCounters* 
   };
 }
 
-// K-way merge + combine over key-sorted buckets whose keys are unique per
-// bucket (CombineBucketSink output). Values combine across buckets in bucket
-// index order, so the per-key fold runs in (map partition, row) order and
-// a non-commutative (but associative) combine is deterministic. Output is
-// key-sorted by construction.
+// K-way merge + combine over key-sorted buckets. A key may repeat within a
+// bucket as a contiguous run: a key-partitioned input read in place is one
+// such bucket, while CombineBucketSink buckets hold each key once. Values
+// combine in bucket index order, each run in row order, so the per-key fold
+// runs in (map partition, row) order and a non-commutative (but
+// associative) combine is deterministic. Output is key-sorted by
+// construction.
 template <typename K, typename V, typename Combine>
 std::vector<std::pair<K, V>> MergeCombineBuckets(const std::vector<PartitionPtr>& buckets,
                                                  const Combine& combine) {
@@ -429,8 +454,8 @@ std::vector<std::pair<K, V>> MergeCombineBuckets(const std::vector<PartitionPtr>
     }
   }
   std::vector<std::pair<K, V>> out;
-  // Distinct keys are at least the largest bucket's count (keys unique per
-  // bucket); start there and let growth cover key sets disjoint per bucket.
+  // Distinct keys are at least the largest bucket's count when keys are
+  // unique per bucket; start there and let growth cover the rest.
   out.reserve(largest);
   while (true) {
     const K* min_key = nullptr;
@@ -447,7 +472,7 @@ std::vector<std::pair<K, V>> MergeCombineBuckets(const std::vector<PartitionPtr>
     }
     bool first = true;
     for (Cursor& c : cur) {
-      if (c.pos < c.rows->size() && (*c.rows)[c.pos].first == *min_key) {
+      while (c.pos < c.rows->size() && (*c.rows)[c.pos].first == *min_key) {
         if (first) {
           out.push_back((*c.rows)[c.pos]);
           first = false;
@@ -527,72 +552,137 @@ inline std::shared_ptr<ShuffleInfo> MakeShuffle(FlintContext* ctx, const RddPtr&
   return info;
 }
 
+// How a keyed operator with `num_reduce` partitions reads one input: in
+// place over a narrow dependency when the input is already key-partitioned
+// into `num_reduce`, else through a new shuffle with `factory`'s buckets.
+inline Dependency KeyedInput(FlintContext* ctx, const RddPtr& input, int num_reduce,
+                             BucketTerminalFactory factory) {
+  if (num_reduce > 0 && input->key_partitions() == num_reduce) {
+    return Dependency{DepType::kNarrowOneToOne, input, nullptr};
+  }
+  return Dependency{DepType::kShuffle, input,
+                    MakeShuffle(ctx, input, num_reduce, std::move(factory))};
+}
+
+// Reduce partition j's key-sorted buckets of one KeyedInput: the shuffle's
+// buckets, or the in-place input's partition j as the only bucket.
+inline Result<std::vector<PartitionPtr>> ReadBuckets(const Dependency& dep, int j,
+                                                     TaskContext& tc) {
+  if (dep.type == DepType::kShuffle) {
+    return tc.FetchShuffle(dep.shuffle->shuffle_id, j);
+  }
+  FLINT_ASSIGN_OR_RETURN(PartitionPtr part, tc.GetPartition(dep.parent, j));
+  return std::vector<PartitionPtr>{std::move(part)};
+}
+
 // Builds the two-input keyed RDD behind Join and CoGroup. `reduce(lbuckets,
-// rbuckets, tc)` is the one reduce body both plans share; it gets, per side,
-// the key-sorted buckets holding output partition j's keys.
-//
-// When both inputs are already key-partitioned into `num_reduce` partitions
-// (Rdd::key_partitions), the shuffle is skipped: partition j reads partition
-// j of each parent over a narrow dependency and passes it as that side's
-// only bucket. A shuffle would deliver the same rows: reduce j receives
-// nothing from map partitions other than j, and map partition j's bucket j
-// is the partition itself, already key-sorted. So both plans are
-// bit-identical. Any other input pair hash-shuffles both sides through
-// plain bucket sinks.
+// rbuckets, tc)` is the one reduce body every plan shares; it gets, per
+// side, the key-sorted buckets holding output partition j's keys. Each side
+// is a KeyedInput on its own, as in Spark's CoGroupedRDD: co-partitioned
+// inputs join with no shuffle, and a join of one key-partitioned input
+// shuffles only the other.
 template <typename K, typename V, typename W, typename Reduce>
 RddPtr MakeBinaryByKey(FlintContext* ctx, const RddPtr& left, const RddPtr& right,
                        int num_reduce, std::string name, Reduce reduce) {
-  RddPtr out;
-  if (num_reduce > 0 && left->key_partitions() == num_reduce &&
-      right->key_partitions() == num_reduce) {
-    out = ctx->CreateRdd(
-        std::move(name), num_reduce,
-        {Dependency{DepType::kNarrowOneToOne, left, nullptr},
-         Dependency{DepType::kNarrowOneToOne, right, nullptr}},
-        [left, right, reduce](int j, TaskContext& tc) -> Result<PartitionPtr> {
-          FLINT_ASSIGN_OR_RETURN(PartitionPtr l, tc.GetPartition(left, j));
-          FLINT_ASSIGN_OR_RETURN(PartitionPtr r, tc.GetPartition(right, j));
-          return reduce(std::vector<PartitionPtr>{std::move(l)},
-                        std::vector<PartitionPtr>{std::move(r)}, tc);
-        });
-  } else {
-    auto left_info = MakeShuffle(ctx, left, num_reduce, MakePlainBucketFactory<K, V>());
-    auto right_info = MakeShuffle(ctx, right, num_reduce, MakePlainBucketFactory<K, W>());
-    out = ctx->CreateRdd(
-        std::move(name), num_reduce,
-        {Dependency{DepType::kShuffle, left, left_info},
-         Dependency{DepType::kShuffle, right, right_info}},
-        [left_info, right_info, reduce](int j, TaskContext& tc) -> Result<PartitionPtr> {
-          FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> lbuckets,
-                                 tc.FetchShuffle(left_info->shuffle_id, j));
-          FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> rbuckets,
-                                 tc.FetchShuffle(right_info->shuffle_id, j));
-          return reduce(lbuckets, rbuckets, tc);
-        });
-  }
+  Dependency l = KeyedInput(ctx, left, num_reduce, MakePlainBucketFactory<K, V>());
+  Dependency r = KeyedInput(ctx, right, num_reduce, MakePlainBucketFactory<K, W>());
+  RddPtr out = ctx->CreateRdd(
+      std::move(name), num_reduce, {l, r},
+      [l, r, reduce](int j, TaskContext& tc) -> Result<PartitionPtr> {
+        FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> lbuckets, ReadBuckets(l, j, tc));
+        FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> rbuckets, ReadBuckets(r, j, tc));
+        return reduce(lbuckets, rbuckets, tc);
+      });
   out->set_key_partitions(num_reduce);
   return out;
 }
 
+// KeyPartitioned's sink: passes rows through unchanged and checks each one
+// against the declaration. The first row that routes elsewhere or whose
+// key is below its predecessor's sets status(); the chain run then fails.
+template <typename K, typename V>
+class KeyCheckSink final : public TypedSink<std::pair<K, V>> {
+ public:
+  KeyCheckSink(std::string rdd_name, int partition, int num_partitions,
+               TypedSink<std::pair<K, V>>& down)
+      : rdd_name_(std::move(rdd_name)), partition_(partition), num_partitions_(num_partitions),
+        down_(down) {}
+
+  void Push(const std::pair<K, V>* rec, size_t n) override {
+    for (size_t i = 0; i < n && status_.ok(); ++i, ++row_) {
+      const K& key = rec[i].first;
+      const int home = KeyPartitionOf(key, num_partitions_);
+      if (home != partition_) {
+        Fail("row " + std::to_string(row_) + " belongs in partition " + std::to_string(home));
+      } else if ((i > 0 && key < rec[i - 1].first) || (i == 0 && last_ && key < *last_)) {
+        Fail("row " + std::to_string(row_) + " breaks key order");
+      }
+    }
+    if (n > 0) {
+      last_ = rec[n - 1].first;
+    }
+    down_.Push(rec, n);
+  }
+  void Flush() override { down_.Flush(); }
+  Status status() const override { return status_; }
+
+ private:
+  void Fail(const std::string& what) {
+    status_ = Internal("KeyPartitioned rdd '" + rdd_name_ + "' partition " +
+                       std::to_string(partition_) + " of " + std::to_string(num_partitions_) +
+                       ": " + what);
+  }
+
+  const std::string rdd_name_;
+  const int partition_;
+  const int num_partitions_;
+  TypedSink<std::pair<K, V>>& down_;
+  std::optional<K> last_;  // the previous batch's last key
+  uint64_t row_ = 0;
+  Status status_;
+};
+
 }  // namespace rdd_internal
+
+// Declares that `pairs` is already key-partitioned into its own partition
+// count: partition p holds only keys KeyPartitionOf routes to p, in
+// non-decreasing key order. Keyed operators into that count then read it in
+// place instead of shuffling it. The declaration is checked, not trusted:
+// the operator streams every row through a check (fused into its
+// consumer's chain like a Map), and a violation fails the task with an
+// Internal status naming the RDD and the partition, so a wrong declaration
+// cannot silently lose rows.
+template <typename K, typename V>
+PairRdd<K, V> KeyPartitioned(const PairRdd<K, V>& pairs, std::string name = "keyPartitioned") {
+  const int n = pairs.num_partitions();
+  RddPtr out = rdd_internal::MakeStreamingRdd<std::pair<K, V>>(
+      pairs.ctx(), pairs.raw(), name, /*keeps_rows=*/true,
+      [rdd_name = name, n](int partition, TypedSink<std::pair<K, V>>& down) {
+        return std::make_unique<rdd_internal::KeyCheckSink<K, V>>(rdd_name, partition, n, down);
+      });
+  out->set_key_partitions(n);
+  return PairRdd<K, V>(pairs.ctx(), std::move(out));
+}
 
 // Aggregates values per key with `combine` (associative; commutativity not
 // required — values fold in (map partition, row) order on the map side and
 // bucket-index order across buckets on the reduce side, deterministically).
 // Map-side combining happens in the bucket sink, like Spark's aggregator.
-// Output rows are sorted by key for deterministic results.
+// An input already key-partitioned into `num_reduce` is folded in place,
+// with no shuffle and the same result. Output rows are sorted by key for
+// deterministic results.
 template <typename K, typename V, typename Combine>
 PairRdd<K, V> ReduceByKey(const PairRdd<K, V>& parent, int num_reduce, Combine combine,
                           std::string name = "reduceByKey") {
   FlintContext* ctx = parent.ctx();
-  auto info = rdd_internal::MakeShuffle(
+  Dependency dep = rdd_internal::KeyedInput(
       ctx, parent.raw(), num_reduce,
       rdd_internal::MakeCombineBucketFactory<K, V>(combine, &ctx->counters()));
   RddPtr out = ctx->CreateRdd(
-      std::move(name), num_reduce, {Dependency{DepType::kShuffle, parent.raw(), info}},
-      [info, combine](int j, TaskContext& tc) -> Result<PartitionPtr> {
+      std::move(name), num_reduce, {dep},
+      [dep, combine](int j, TaskContext& tc) -> Result<PartitionPtr> {
         FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> buckets,
-                               tc.FetchShuffle(info->shuffle_id, j));
+                               rdd_internal::ReadBuckets(dep, j, tc));
         return MakePartition(rdd_internal::MergeCombineBuckets<K, V>(buckets, combine));
       });
   out->set_key_partitions(num_reduce);
@@ -600,26 +690,27 @@ PairRdd<K, V> ReduceByKey(const PairRdd<K, V>& parent, int num_reduce, Combine c
 }
 
 // Groups values per key. Output rows sorted by key; value order follows map
-// partition order (deterministic given deterministic inputs).
+// partition order (deterministic given deterministic inputs). An input
+// already key-partitioned into `num_reduce` is grouped in place.
 template <typename K, typename V>
 PairRdd<K, std::vector<V>> GroupByKey(const PairRdd<K, V>& parent, int num_reduce,
                                       std::string name = "groupByKey") {
   FlintContext* ctx = parent.ctx();
-  auto info = rdd_internal::MakeShuffle(ctx, parent.raw(), num_reduce,
-                                        rdd_internal::MakePlainBucketFactory<K, V>());
+  Dependency dep = rdd_internal::KeyedInput(ctx, parent.raw(), num_reduce,
+                                            rdd_internal::MakePlainBucketFactory<K, V>());
   RddPtr out = ctx->CreateRdd(
-      std::move(name), num_reduce, {Dependency{DepType::kShuffle, parent.raw(), info}},
-      [info](int j, TaskContext& tc) -> Result<PartitionPtr> {
+      std::move(name), num_reduce, {dep}, [dep](int j, TaskContext& tc) -> Result<PartitionPtr> {
         FLINT_ASSIGN_OR_RETURN(std::vector<PartitionPtr> buckets,
-                               tc.FetchShuffle(info->shuffle_id, j));
+                               rdd_internal::ReadBuckets(dep, j, tc));
         return MakePartition(rdd_internal::MergeGroupBuckets<K, V>(buckets));
       });
   out->set_key_partitions(num_reduce);
   return PairRdd<K, std::vector<V>>(ctx, std::move(out));
 }
 
-// Inner join by key into `num_reduce` partitions (shuffle-free when both
-// sides are already co-partitioned, see MakeBinaryByKey). The reduce side
+// Inner join by key into `num_reduce` partitions (each side already
+// key-partitioned into `num_reduce` is read in place, see MakeBinaryByKey).
+// The reduce side
 // merge-joins the key-sorted buckets. Output is key-sorted; per key, rows
 // follow (right row order, left row order).
 template <typename K, typename V, typename W>

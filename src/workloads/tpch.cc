@@ -1,10 +1,38 @@
 #include "src/workloads/tpch.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/rng.h"
 
 namespace flint {
+
+namespace {
+
+// The generator stream of one row: a function of (seed, table, key) alone,
+// so a row is the same whichever partition builds it.
+Rng RowRng(uint64_t seed, uint64_t table, int key) {
+  return Rng(seed ^ (table << 56) ^ (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ULL));
+}
+
+// Partition `part` of a table of keys [0, count) bucketed by key: exactly
+// the keys KeyPartitionOf routes to `part`, ascending.
+std::vector<int> KeysOfPartition(int part, int parts, int count) {
+  std::vector<int> keys;
+  keys.reserve(static_cast<size_t>(count / parts + 1));
+  for (int k = 0; k < count; ++k) {
+    if (KeyPartitionOf(k, parts) == part) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+constexpr uint64_t kCustomerTable = 1;
+constexpr uint64_t kOrdersTable = 2;
+constexpr uint64_t kLineitemTable = 3;
+
+}  // namespace
 
 Result<TpchDatabase> TpchDatabase::Load(FlintContext& ctx, const TpchParams& params) {
   if (params.num_customers <= 0 || params.num_orders <= 0 || params.partitions <= 0) {
@@ -23,12 +51,11 @@ Result<TpchDatabase> TpchDatabase::Load(FlintContext& ctx, const TpchParams& par
   db.customer_ = Generate(
       &ctx, parts,
       [customers, parts, seed](int part) {
-        Rng rng(seed ^ (0x10001ULL * (static_cast<uint64_t>(part) + 1)));
-        const int begin = static_cast<int>(static_cast<int64_t>(customers) * part / parts);
-        const int end = static_cast<int>(static_cast<int64_t>(customers) * (part + 1) / parts);
+        const std::vector<int> keys = KeysOfPartition(part, parts, customers);
         std::vector<Customer> rows;
-        rows.reserve(static_cast<size_t>(end - begin));
-        for (int c = begin; c < end; ++c) {
+        rows.reserve(keys.size());
+        for (int c : keys) {
+          Rng rng = RowRng(seed, kCustomerTable, c);
           Customer row;
           row.cust_key = c;
           row.mkt_segment = static_cast<int>(rng.UniformInt(5));
@@ -41,12 +68,11 @@ Result<TpchDatabase> TpchDatabase::Load(FlintContext& ctx, const TpchParams& par
   db.orders_ = Generate(
       &ctx, parts,
       [orders, customers, parts, seed](int part) {
-        Rng rng(seed ^ (0x20002ULL * (static_cast<uint64_t>(part) + 1)));
-        const int begin = static_cast<int>(static_cast<int64_t>(orders) * part / parts);
-        const int end = static_cast<int>(static_cast<int64_t>(orders) * (part + 1) / parts);
+        const std::vector<int> keys = KeysOfPartition(part, parts, orders);
         std::vector<Order> rows;
-        rows.reserve(static_cast<size_t>(end - begin));
-        for (int o = begin; o < end; ++o) {
+        rows.reserve(keys.size());
+        for (int o : keys) {
+          Rng rng = RowRng(seed, kOrdersTable, o);
           Order row;
           row.order_key = o;
           row.cust_key = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(customers)));
@@ -62,12 +88,11 @@ Result<TpchDatabase> TpchDatabase::Load(FlintContext& ctx, const TpchParams& par
   db.lineitem_ = Generate(
       &ctx, parts,
       [orders, max_lines, parts, seed](int part) {
-        Rng rng(seed ^ (0x30003ULL * (static_cast<uint64_t>(part) + 1)));
-        const int begin = static_cast<int>(static_cast<int64_t>(orders) * part / parts);
-        const int end = static_cast<int>(static_cast<int64_t>(orders) * (part + 1) / parts);
+        const std::vector<int> keys = KeysOfPartition(part, parts, orders);
         std::vector<LineItem> rows;
-        rows.reserve(static_cast<size_t>(end - begin) * static_cast<size_t>(max_lines) / 2);
-        for (int o = begin; o < end; ++o) {
+        rows.reserve(keys.size() * static_cast<size_t>(max_lines + 1) / 2);
+        for (int o : keys) {
+          Rng rng = RowRng(seed, kLineitemTable, o);
           const int nlines = 1 + static_cast<int>(rng.UniformInt(static_cast<uint64_t>(max_lines)));
           for (int l = 0; l < nlines; ++l) {
             LineItem row;
@@ -88,7 +113,10 @@ Result<TpchDatabase> TpchDatabase::Load(FlintContext& ctx, const TpchParams& par
       "tpch-lineitem");
 
   // Persist in memory and force materialization (the paper: "de-serializes
-  // and re-partitions the raw files ... then persists them in memory").
+  // and re-partitions the raw files ... then persists them in memory"). The
+  // generators emit each table already partitioned by its join key, which
+  // is what the paper's re-partitioning buys: queries declare it
+  // (KeyPartitioned) and join or aggregate on it without a shuffle.
   db.customer_.Cache();
   db.orders_.Cache();
   db.lineitem_.Cache();
@@ -158,25 +186,28 @@ Result<std::vector<Q3Row>> TpchDatabase::RunQ3(int segment, int date, int top_n)
         return std::make_pair(o.order_key, std::make_pair(o.order_date, o.ship_priority));
       },
       "q3-rekey");
-  auto line_keyed =
+  auto line_keyed = KeyPartitioned(
       lineitem_
           .Filter([date](const LineItem& l) { return l.ship_date > date; }, "q3-line-filter")
           .Map(
               [](const LineItem& l) {
                 return std::make_pair(l.order_key, l.extended_price * (1.0 - l.discount));
               },
-              "q3-line-key");
+              "q3-line-key"),
+      "q3-line-by-order");
+  // Only the re-keyed side is shuffled: lineitem is read in place.
   auto col = Join(co_by_order, line_keyed, params_.partitions, "q3-ord-line");
-  // Group by order, summing revenue.
+  // Group by order, summing revenue; the join output is already partitioned
+  // by order, so the group-by is narrow. The key fills order_key below.
   auto revenue = ReduceByKey(
-      col.Map(
-          [](const std::pair<int, std::pair<std::pair<int, int>, double>>& row) {
+      MapValues(
+          col,
+          [](const std::pair<std::pair<int, int>, double>& v) {
             Q3Row r;
-            r.order_key = row.first;
-            r.order_date = row.second.first.first;
-            r.ship_priority = row.second.first.second;
-            r.revenue = row.second.second;
-            return std::make_pair(row.first, r);
+            r.order_date = v.first.first;
+            r.ship_priority = v.first.second;
+            r.revenue = v.second;
+            return r;
           },
           "q3-project"),
       params_.partitions,
@@ -190,6 +221,7 @@ Result<std::vector<Q3Row>> TpchDatabase::RunQ3(int segment, int date, int top_n)
   std::vector<Q3Row> out;
   out.reserve(rows.size());
   for (auto& [key, r] : rows) {
+    r.order_key = key;
     out.push_back(r);
   }
   std::sort(out.begin(), out.end(), [](const Q3Row& a, const Q3Row& b) {
@@ -206,22 +238,26 @@ Result<std::vector<Q3Row>> TpchDatabase::RunQ3(int segment, int date, int top_n)
 
 Result<std::vector<Q10Row>> TpchDatabase::RunQ10(int date_start, int top_n) const {
   // Returned items shipped in the window, keyed by order.
-  auto returned = lineitem_
-                      .Filter(
-                          [date_start](const LineItem& l) {
-                            return l.return_flag == 1 && l.ship_date >= date_start &&
-                                   l.ship_date < date_start + 90;
-                          },
-                          "q10-filter")
-                      .Map(
-                          [](const LineItem& l) {
-                            return std::make_pair(
-                                l.order_key,
-                                std::make_pair(l.extended_price * (1.0 - l.discount), int64_t{1}));
-                          },
-                          "q10-project");
-  auto orders_keyed = orders_.Map(
-      [](const Order& o) { return std::make_pair(o.order_key, o.cust_key); }, "q10-ord-key");
+  auto returned = KeyPartitioned(
+      lineitem_
+          .Filter(
+              [date_start](const LineItem& l) {
+                return l.return_flag == 1 && l.ship_date >= date_start &&
+                       l.ship_date < date_start + 90;
+              },
+              "q10-filter")
+          .Map(
+              [](const LineItem& l) {
+                return std::make_pair(
+                    l.order_key, std::make_pair(l.extended_price * (1.0 - l.discount), int64_t{1}));
+              },
+              "q10-project"),
+      "q10-line-by-order");
+  auto orders_keyed = KeyPartitioned(
+      orders_.Map([](const Order& o) { return std::make_pair(o.order_key, o.cust_key); },
+                  "q10-ord-key"),
+      "q10-ord-by-order");
+  // Both sides are partitioned by order: the join is narrow.
   auto joined = Join(returned, orders_keyed, params_.partitions, "q10-join");
   // Re-key by customer and aggregate lost revenue.
   auto by_customer = ReduceByKey(
@@ -261,19 +297,20 @@ Result<std::vector<Q10Row>> TpchDatabase::RunQ10(int date_start, int top_n) cons
 }
 
 Result<std::vector<Q12Row>> TpchDatabase::RunQ12(int year_start) const {
-  auto line_keyed = lineitem_
-                        .Filter(
-                            [year_start](const LineItem& l) {
-                              return l.ship_date >= year_start && l.ship_date < year_start + 365;
-                            },
-                            "q12-filter")
-                        .Map(
-                            [](const LineItem& l) {
-                              return std::make_pair(l.order_key, l.line_status);
-                            },
-                            "q12-project");
-  auto orders_keyed = orders_.Map(
-      [](const Order& o) { return std::make_pair(o.order_key, o.ship_priority); }, "q12-ord");
+  auto line_keyed = KeyPartitioned(
+      lineitem_
+          .Filter(
+              [year_start](const LineItem& l) {
+                return l.ship_date >= year_start && l.ship_date < year_start + 365;
+              },
+              "q12-filter")
+          .Map([](const LineItem& l) { return std::make_pair(l.order_key, l.line_status); },
+               "q12-project"),
+      "q12-line-by-order");
+  auto orders_keyed = KeyPartitioned(
+      orders_.Map([](const Order& o) { return std::make_pair(o.order_key, o.ship_priority); },
+                  "q12-ord"),
+      "q12-ord-by-order");
   auto joined = Join(line_keyed, orders_keyed, params_.partitions, "q12-join");
   auto counted = ReduceByKey(
       joined.Map(
@@ -306,18 +343,23 @@ Result<std::vector<Q12Row>> TpchDatabase::RunQ12(int year_start) const {
 
 Result<std::vector<Q18Row>> TpchDatabase::RunQ18(double qty_threshold, int top_n) const {
   // Total quantity per order; keep the big ones.
+  // Every step stays on lineitem's and orders' order partitioning: no shuffle.
   auto qty = ReduceByKey(
-      lineitem_.Map([](const LineItem& l) { return std::make_pair(l.order_key, l.quantity); },
-                    "q18-project"),
+      KeyPartitioned(
+          lineitem_.Map([](const LineItem& l) { return std::make_pair(l.order_key, l.quantity); },
+                        "q18-project"),
+          "q18-line-by-order"),
       params_.partitions, [](double a, double b) { return a + b; }, "q18-sumqty");
   auto big = qty.Filter(
       [qty_threshold](const std::pair<int, double>& kv) { return kv.second > qty_threshold; },
       "q18-filter");
-  auto orders_keyed = orders_.Map(
-      [](const Order& o) {
-        return std::make_pair(o.order_key, std::make_pair(o.cust_key, o.total_price));
-      },
-      "q18-ord");
+  auto orders_keyed = KeyPartitioned(
+      orders_.Map(
+          [](const Order& o) {
+            return std::make_pair(o.order_key, std::make_pair(o.cust_key, o.total_price));
+          },
+          "q18-ord"),
+      "q18-ord-by-order");
   auto joined = Join(big, orders_keyed, params_.partitions, "q18-join");
   FLINT_ASSIGN_OR_RETURN(auto rows, joined.Collect());
   std::vector<Q18Row> out;
@@ -354,11 +396,9 @@ Result<double> TpchDatabase::RunQ6(int year_start, int year_end, double disc_mid
                          "q6-filter")
                      .Map([](const LineItem& l) { return l.extended_price * l.discount; },
                           "q6-project");
-  FLINT_ASSIGN_OR_RETURN(uint64_t n, revenue.Count());
-  if (n == 0) {
-    return 0.0;
-  }
-  return revenue.Reduce([](double a, double b) { return a + b; });
+  FLINT_ASSIGN_OR_RETURN(std::optional<double> sum,
+                         revenue.MaybeReduce([](double a, double b) { return a + b; }));
+  return sum.value_or(0.0);
 }
 
 }  // namespace flint

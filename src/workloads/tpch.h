@@ -1,17 +1,26 @@
 // TPC-H mini: Spark-as-an-in-memory-database, the paper's interactive BIDI
 // workload. Synthetic dbgen-style generators populate lineitem / orders /
-// customer RDDs that are de-serialized, re-partitioned, and persisted in
-// memory once (TpchDatabase::Load); queries then execute against the cached
-// RDDs, so the latency of a query after a revocation is dominated by
-// recomputing lost partitions — exactly the effect Fig 9 measures.
+// customer RDDs that are persisted in memory once (TpchDatabase::Load);
+// queries then execute against the cached RDDs, so the latency of a query
+// after a revocation is dominated by recomputing lost partitions — exactly
+// the effect Fig 9 measures.
 //
-// Queries implemented (with the paper's "short" and "medium" classes):
-//   Q6  — filtered scan + global aggregate (no shuffle)       [short]
-//   Q1  — scan + group-by aggregate (one shuffle)             [short/medium]
-//   Q3  — 3-way join + group-by + top-N (shuffle/join heavy)  [medium]
-//   Q10 — returned-item revenue by customer, top-N            [medium]
-//   Q12 — shipping-priority counts by line status for a year  [short/medium]
-//   Q18 — large-quantity orders (group + filter + join)       [medium]
+// Layout: each table is generated already partitioned by its join key, the
+// layout the paper's load-time re-partitioning produces. customer is
+// bucketed by cust_key, orders and lineitem by order_key: partition p holds
+// exactly the keys KeyPartitionOf (typed_rdd.h) routes to p, in key order,
+// and each row is a function of (seed, key) alone. The queries declare the
+// order-key layout (KeyPartitioned, which checks it), so joins and
+// aggregations on order key read the cached tables in place.
+//
+// Queries implemented (with the paper's "short" and "medium" classes), and
+// the shuffles each runs:
+//   Q6  — filtered scan + global aggregate (none)                [short]
+//   Q1  — scan + group-by aggregate (one)                        [short/medium]
+//   Q3  — 3-way join + group-by + top-N (three)                  [medium]
+//   Q10 — returned-item revenue by customer, top-N (one)         [medium]
+//   Q12 — shipping-priority counts by line status, a year (one)  [short/medium]
+//   Q18 — large-quantity orders, group + filter + join (none)    [medium]
 
 #ifndef SRC_WORKLOADS_TPCH_H_
 #define SRC_WORKLOADS_TPCH_H_
@@ -98,8 +107,9 @@ struct Q18Row {
 
 class TpchDatabase {
  public:
-  // Generates, re-partitions, and persists the three tables in cluster
-  // memory; the load itself is a set of jobs (counts force materialization).
+  // Generates the three tables, each already bucketed by its join key (see
+  // the layout note above), and persists them in cluster memory; the load
+  // itself is a set of jobs (counts force materialization).
   static Result<TpchDatabase> Load(FlintContext& ctx, const TpchParams& params);
 
   // Q1: pricing summary report for lineitems shipped before `cutoff_date`.

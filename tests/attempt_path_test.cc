@@ -3,20 +3,23 @@
 // the tracer keeps. A shuffle map attempt fires kShuffleMapTaskRun, then
 // kTaskRun (carrying its shuffle and map index), then kShuffleMapTaskDone
 // once its output is registered; a result attempt reports its RDD; a retry
-// carries its attempt number; and each attempt opens exactly one span with
-// its node and attempt number.
+// carries its attempt number; each attempt opens exactly one span with its
+// node and attempt number; and a reaped result-stage loser is not judged.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "src/checkpoint/ft_manager.h"
 #include "src/common/mutex.h"
 #include "src/engine/typed_rdd.h"
 #include "src/engine/typed_rdd_ops.h"
@@ -325,6 +328,99 @@ TEST_F(AttemptPathTraced, EachAttemptEmitsOneSpanWithNodeAndAttempt) {
   EXPECT_TRUE(std::any_of(from_spans.begin(), from_spans.end(),
                           [](const Key& k) { return std::get<3>(k) > 0; }))
       << "no retried attempt in the trace";
+}
+
+// Counts the on-time OnTaskJudged verdicts.
+class JudgmentRecorder : public EngineObserver {
+ public:
+  void OnTaskJudged(NodeId node, double seconds, bool on_time) override {
+    (void)node;
+    (void)seconds;
+    MutexLock lock(&mutex_);
+    on_time_ += on_time ? 1 : 0;
+  }
+  int on_time() const {
+    MutexLock lock(&mutex_);
+    return on_time_;
+  }
+
+ private:
+  mutable Mutex mutex_{"JudgmentRecorder::mutex_"};
+  int on_time_ GUARDED_BY(mutex_) = 0;
+};
+
+// Speculation on, node 0 of 2 computes 2x slow, and every task reads a
+// checkpointed partition back from the DFS, which takes 160 ms (a degraded
+// store). The slow node's attempts take 320 ms and blow the 240 ms deadline,
+// so each is duplicated onto the fast node, where the duplicate restores
+// until 400 ms, inside its own deadline. The slow original wins at 320 ms
+// and the duplicate is reaped mid-read; a restore does not poll
+// cancellation, so its body then finishes with the rows. Partition 0
+// restores three times slower and holds the stage open past 400 ms, so the
+// stage loop sees those outcomes.
+//
+// A reaped result-stage loser must not be judged (EngineObserver::
+// OnTaskJudged), so the on-time verdicts are at most the slots that were
+// never speculated, each won by its first attempt. (A speculated slot's
+// first attempt was judged late at its deadline miss.)
+TEST(AttemptPath, ReapedResultLoserIsNotJudged) {
+  constexpr int kParts = 8;
+  constexpr double kRestoreSeconds = 0.16;
+  EngineHarnessOptions options;
+  options.num_nodes = 2;
+  options.executor_threads = 8;
+  options.model_latency = true;
+  options.speculation.quorum = 2;
+  options.speculation.spec_multiplier = 1.0;
+  options.speculation.min_deadline_seconds = 0.24;
+  EngineHarness h{options};
+
+  std::vector<int> data(kParts * 2048);
+  std::iota(data.begin(), data.end(), 0);
+  auto rdd = Parallelize(&h.ctx(), data, kParts).Map([](const int& x) { return x + 1; });
+  {
+    CheckpointConfig ckpt;
+    ckpt.policy = CheckpointPolicyKind::kFlint;
+    FaultToleranceManager ft(&h.ctx(), ckpt);
+    ft.CheckpointRddNow(rdd.raw());
+    for (int i = 0; i < 600 && rdd.raw()->checkpoint_state() != CheckpointState::kSaved; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    h.ctx().DrainExecutors();
+  }
+  ASSERT_EQ(rdd.raw()->checkpoint_state(), CheckpointState::kSaved);
+
+  FaultPlan plan;
+  plan.events.push_back(SlowNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0, /*node_ordinal=*/0,
+                                   /*slow_factor=*/2.0, /*duration_seconds=*/30.0));
+  for (int p = 0; p < kParts; ++p) {
+    const std::string path = rdd.raw()->CheckpointPath(p);
+    auto stat = h.dfs().Stat(path);
+    ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+    const double base_seconds = static_cast<double>(stat->size_bytes) /
+                                h.dfs().config().read_bandwidth_bytes_per_s;
+    const double seconds = (p == 0 ? 3.0 : 1.0) * kRestoreSeconds;
+    plan.events.push_back(DfsSlowAt(EnginePoint::kTaskRun, /*after_hits=*/0, path,
+                                    /*duration_seconds=*/30.0, seconds / base_seconds));
+  }
+  FaultInjector injector(&h.cluster(), plan, &h.dfs());
+  JudgmentRecorder judgments;
+  h.ctx().AddObserver(&judgments);
+  Result<std::vector<int>> out = InvalidArgument("not run");
+  {
+    ProbeGuard guard(&h.ctx(), &injector, &injector);
+    out = rdd.Collect();
+  }
+  h.ctx().RemoveObserver(&judgments);
+
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  std::vector<int> expect(data.size());
+  std::iota(expect.begin(), expect.end(), 1);
+  EXPECT_EQ(*out, expect);
+  const EngineCounters& counters = h.ctx().counters();
+  EXPECT_EQ(counters.checkpoint_reads.load(), counters.tasks_run.load());
+  ASSERT_GT(counters.tasks_speculated.load(), 1u) << "no slow-node slot was speculated";
+  EXPECT_LE(judgments.on_time(), kParts - static_cast<int>(counters.tasks_speculated.load()));
 }
 
 }  // namespace

@@ -13,8 +13,10 @@
 //   - fused bucket chains recomputing bit-identically through a whole-cluster
 //     revocation storm;
 //   - co-partitioned Join / CoGroup / LeftOuterJoin: the shuffle-free plan
-//     (Rdd::key_partitions) against the shuffled oracle, and the table of
-//     which operators set, keep and drop key_partitions.
+//     (Rdd::key_partitions) against the shuffled oracle, one-sided joins that
+//     shuffle only the unpartitioned side, narrow ReduceByKey / GroupByKey,
+//     the checked KeyPartitioned declaration, and the table of which
+//     operators set, keep and drop key_partitions.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,7 @@ namespace flint {
 namespace {
 
 using testing::EngineHarness;
+using testing::EngineHarnessOptions;
 
 // --- FlatHashMap units ---
 
@@ -561,7 +564,8 @@ TEST(ShufflePathTest, CopartitionedBinaryOpsMatchShuffledOracle) {
 }
 
 // Matching key partitioning is not enough: the partition count must equal
-// num_reduce on both sides, or the rows would sit in the wrong partitions.
+// num_reduce, or the rows would sit in the wrong partitions. A side that
+// matches is still read in place.
 TEST(ShufflePathTest, MismatchedKeyPartitionsStillShuffle) {
   EngineHarness h;
   FlintContext* ctx = &h.ctx();
@@ -573,7 +577,7 @@ TEST(ShufflePathTest, MismatchedKeyPartitionsStillShuffle) {
 
   const size_t before = ctx->shuffles().NumShuffles();
   auto mixed = Join(four, three, 4);
-  EXPECT_EQ(ctx->shuffles().NumShuffles() - before, 2u);
+  EXPECT_EQ(ctx->shuffles().NumShuffles() - before, 1u);  // only `three`
   EXPECT_EQ(CollectOrEmpty(mixed), expected);
 
   // Both sides partitioned alike, but into a different count than asked.
@@ -597,7 +601,8 @@ TEST(ShufflePathTest, KeyPartitionsPropagationTable) {
   auto grouped = GroupByKey(base, 3);
   auto kv = [](const std::pair<int, int>& p) { return p; };
 
-  // Set: the shuffle producers and both binary operators, on either plan.
+  // Set: the shuffle producers, both binary operators on any plan, and the
+  // checked declaration.
   EXPECT_EQ(reduced.raw()->key_partitions(), 5);
   EXPECT_EQ(grouped.raw()->key_partitions(), 3);
   EXPECT_EQ(Join(reduced, reduced, 5).raw()->key_partitions(), 5);  // narrow
@@ -605,9 +610,18 @@ TEST(ShufflePathTest, KeyPartitionsPropagationTable) {
   EXPECT_EQ(CoGroup(reduced, reduced, 5).raw()->key_partitions(), 5);
   EXPECT_EQ(CoGroup(reduced, base, 2).raw()->key_partitions(), 2);
 
-  // Kept: MapValues cannot move a key.
+  EXPECT_EQ(KeyPartitioned(reduced.Map(kv)).raw()->key_partitions(), 5);
+  EXPECT_EQ(KeyPartitioned(base).raw()->key_partitions(), 4);
+
+  // Kept: MapValues cannot move a key, Filter cannot move or reorder a row.
   EXPECT_EQ(MapValues(reduced, [](int v) { return v * 2; }).raw()->key_partitions(), 5);
   EXPECT_EQ(MapValues(base, [](int v) { return v; }).raw()->key_partitions(), 0);
+  EXPECT_EQ(reduced.Filter([](const std::pair<int, int>&) { return true; })
+                .raw()
+                ->key_partitions(),
+            5);
+  EXPECT_EQ(base.Filter([](const std::pair<int, int>&) { return true; }).raw()->key_partitions(),
+            0);
 
   // Dropped: everything else, even where the keys happen to survive.
   EXPECT_EQ(base.raw()->key_partitions(), 0);
@@ -616,10 +630,6 @@ TEST(ShufflePathTest, KeyPartitionsPropagationTable) {
   EXPECT_EQ(reduced.FlatMap([](const std::pair<int, int>& p) {
                        return std::vector<std::pair<int, int>>{p};
                      }).raw()->key_partitions(),
-            0);
-  EXPECT_EQ(reduced.Filter([](const std::pair<int, int>&) { return true; })
-                .raw()
-                ->key_partitions(),
             0);
   EXPECT_EQ(reduced.MapPartitions([](const std::vector<std::pair<int, int>>& rows) {
                        return rows;
@@ -632,6 +642,150 @@ TEST(ShufflePathTest, KeyPartitionsPropagationTable) {
                 ->key_partitions(),
             0);
   EXPECT_EQ(LeftOuterJoin(reduced, reduced, 5).raw()->key_partitions(), 0);
+}
+
+// A Join or CoGroup with one input already key-partitioned into num_reduce
+// shuffles only the other input, as Spark's CoGroupedRDD does, and equals
+// the oracle that shuffles both, with either side partitioned.
+TEST(ShufflePathTest, OneSidedJoinAndCoGroupShuffleOneSide) {
+  for (const auto& [n, keys] : std::vector<std::pair<int, int>>{{4, 19}, {3, 19}, {8, 3}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " keys=" + std::to_string(keys));
+    EngineHarness h;
+    FlintContext* ctx = &h.ctx();
+    KeyedInputs in = CopartitionedInputs(ctx, n, keys);
+    auto loose = Identity(in.dups);
+    auto expect_one_shuffle = [&](const RddPtr& rdd, size_t before) {
+      EXPECT_EQ(ctx->shuffles().NumShuffles() - before, 1u) << rdd->name();
+      ASSERT_EQ(rdd->deps().size(), 2u);
+      EXPECT_NE(rdd->deps()[0].type, rdd->deps()[1].type) << rdd->name();
+      EXPECT_EQ(rdd->key_partitions(), n);
+    };
+
+    size_t before = ctx->shuffles().NumShuffles();
+    auto join_left = Join(in.unique, loose, n);
+    expect_one_shuffle(join_left.raw(), before);
+    before = ctx->shuffles().NumShuffles();
+    auto join_right = Join(loose, in.unique, n);
+    expect_one_shuffle(join_right.raw(), before);
+    before = ctx->shuffles().NumShuffles();
+    auto cogroup_left = CoGroup(in.unique, loose, n);
+    expect_one_shuffle(cogroup_left.raw(), before);
+    before = ctx->shuffles().NumShuffles();
+    auto cogroup_right = CoGroup(loose, in.unique, n);
+    expect_one_shuffle(cogroup_right.raw(), before);
+
+    const auto oracle_left = CollectOrEmpty(Join(Identity(in.unique), loose, n));
+    ASSERT_FALSE(oracle_left.empty());
+    EXPECT_EQ(CollectOrEmpty(join_left), oracle_left);
+    EXPECT_EQ(CollectOrEmpty(join_right), CollectOrEmpty(Join(loose, Identity(in.unique), n)));
+    EXPECT_EQ(CollectOrEmpty(cogroup_left),
+              CollectOrEmpty(CoGroup(Identity(in.unique), loose, n)));
+    EXPECT_EQ(CollectOrEmpty(cogroup_right),
+              CollectOrEmpty(CoGroup(loose, Identity(in.unique), n)));
+  }
+}
+
+// ReduceByKey and GroupByKey over an input already key-partitioned into
+// num_reduce fold and group in place. With repeated keys per partition and
+// a non-commutative combine, the narrow plan equals the shuffled oracle row
+// for row, streamed or cached.
+TEST(ShufflePathTest, NarrowReduceAndGroupMatchShuffledOracle) {
+  for (const auto& [n, keys] : std::vector<std::pair<int, int>>{{4, 19}, {5, 23}, {8, 3}}) {
+    for (bool cached : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " keys=" + std::to_string(keys) +
+                   " cached=" + std::to_string(cached));
+      EngineHarness h;
+      FlintContext* ctx = &h.ctx();
+      auto text = MapValues(CopartitionedInputs(ctx, n, keys).dups,
+                            [](int v) { return std::to_string(v); });
+      MaybeCache(text, cached);
+      const size_t before = ctx->shuffles().NumShuffles();
+      auto reduced = ReduceByKey(text, n, Concat);
+      auto grouped = GroupByKey(text, n);
+      EXPECT_EQ(ctx->shuffles().NumShuffles() - before, 0u);
+      for (const RddPtr& rdd : {reduced.raw(), grouped.raw()}) {
+        ASSERT_EQ(rdd->deps().size(), 1u);
+        EXPECT_EQ(rdd->deps()[0].type, DepType::kNarrowOneToOne) << rdd->name();
+        EXPECT_EQ(rdd->key_partitions(), n);
+      }
+      const auto oracle = CollectOrEmpty(ReduceByKey(Identity(text), n, Concat));
+      ASSERT_FALSE(oracle.empty());
+      EXPECT_TRUE(std::any_of(oracle.begin(), oracle.end(), [](const auto& kv) {
+        return kv.second.find(',') != std::string::npos;
+      })) << "no key folded more than one value";
+      EXPECT_EQ(CollectOrEmpty(reduced), oracle);
+      EXPECT_EQ(CollectOrEmpty(grouped), CollectOrEmpty(GroupByKey(Identity(text), n)));
+    }
+  }
+}
+
+// KeyPartitioned over rows laid out in Parallelize's contiguous ranges: two
+// partitions of two rows each.
+PairRdd<int, int> DeclaredPairs(FlintContext* ctx, const std::vector<int>& keys) {
+  std::vector<std::pair<int, int>> rows;
+  for (int k : keys) {
+    rows.emplace_back(k, k * 10);
+  }
+  return KeyPartitioned(Parallelize(ctx, rows, 2).Map(XorFive), "declared");
+}
+
+// One attempt per task, so a failed check fails the job at once.
+EngineHarnessOptions SingleAttempt() {
+  EngineHarnessOptions options;
+  options.speculation.max_attempts_per_task = 1;
+  return options;
+}
+
+// A true declaration passes its rows through unchanged, and its consumers
+// read it in place.
+TEST(ShufflePathTest, KeyPartitionedPassesRowsOfATrueDeclaration) {
+  EngineHarness h{SingleAttempt()};
+  FlintContext* ctx = &h.ctx();
+  // Under KeyPartitionOf(k, 2) even keys live in partition 0, odd in 1.
+  auto declared = DeclaredPairs(ctx, {0, 2, 2, 4, 1, 1, 3, 5});
+  EXPECT_EQ(declared.raw()->key_partitions(), 2);
+  const std::vector<std::pair<int, int>> rows = CollectOrEmpty(declared);
+  EXPECT_EQ(rows, (std::vector<std::pair<int, int>>{
+                      {0, 5}, {2, 17}, {2, 17}, {4, 45}, {1, 15}, {1, 15}, {3, 27}, {5, 55}}));
+  const size_t before = ctx->shuffles().NumShuffles();
+  auto sums = ReduceByKey(declared, 2, [](int a, int b) { return a + b; });
+  EXPECT_EQ(ctx->shuffles().NumShuffles() - before, 0u);
+  EXPECT_EQ(CollectOrEmpty(sums), (std::vector<std::pair<int, int>>{
+                                      {0, 5}, {2, 34}, {4, 45}, {1, 30}, {3, 27}, {5, 55}}));
+}
+
+// A false declaration fails the task that streams the bad row with an
+// Internal status naming the RDD and the partition, whether the declared
+// RDD is collected itself or fused into a narrow consumer's chain.
+TEST(ShufflePathTest, KeyPartitionedRejectsAFalseDeclaration) {
+  struct Case {
+    const char* what;
+    std::vector<int> keys;
+    const char* partition;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      // Key 3 routes to partition 1 but sits in partition 0.
+      {"wrong partition", {0, 3, 1, 5, 7, 9}, "partition 0 of 2", "belongs in partition 1"},
+      // Partition 1 holds 5 before 1.
+      {"unsorted", {0, 2, 4, 5, 1, 3}, "partition 1 of 2", "breaks key order"},
+  };
+  for (const Case& c : cases) {
+    for (bool through_consumer : {false, true}) {
+      SCOPED_TRACE(std::string(c.what) + (through_consumer ? " via ReduceByKey" : " collected"));
+      EngineHarness h{SingleAttempt()};
+      auto declared = DeclaredPairs(&h.ctx(), c.keys);
+      Status status =
+          through_consumer
+              ? ReduceByKey(declared, 2, [](int a, int b) { return a + b; }).Collect().status()
+              : declared.Collect().status();
+      EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+      EXPECT_NE(status.message().find("KeyPartitioned rdd 'declared'"), std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find(c.partition), std::string::npos) << status.ToString();
+      EXPECT_NE(status.message().find(c.reason), std::string::npos) << status.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -449,17 +449,19 @@ run_obs_slowlink
 # while the scheduler places. Latency* cancels the one wait from another
 # thread. AttemptPath* runs every attempt through the one launch routine and
 # attempt runner: executor threads push outcomes the scheduler thread
-# consumes, and each attempt holds its stage's body by value.
-run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:RecoveryPlacement*:Latency*:AttemptPath*'
+# consumes, and each attempt holds its stage's body by value. Tpch* (here
+# and under ASan and UBSan) runs the queries' narrow joins and aggregations
+# over the cached, key-bucketed tables, before and after a revocation.
+run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:RecoveryPlacement*:Latency*:AttemptPath*:Tpch*'
 # Fusion*/ShufflePath* under ASan: a chain's sinks hold references into one
 # another and into the terminal for exactly one run. LocalityPlacement*/
 # RecoveryPlacement*: a moved block's PartitionPtr changes BlockManager while
 # readers hold it.
-run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*'
+run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*:Tpch*'
 # The UBSan build aborts on the first finding (-fno-sanitize-recover).
 # ShufflePath* folds its combiners in unsigned arithmetic, so signed overflow
 # in a test combine shows up here; Latency* covers the one wait's arithmetic;
 # RecoveryPlacement* the round-robin credits; AttemptPath* the attempt path.
-run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*:AttemptPath*'
+run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*:AttemptPath*:Tpch*'
 
 summary
