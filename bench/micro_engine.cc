@@ -220,7 +220,8 @@ void BM_ReduceByKeyFused(benchmark::State& state) {
 BENCHMARK(BM_ReduceByKeyFused)->Arg(1 << 16)->UseRealTime();
 
 // Grouping without a combiner: dominated by the plain bucket sort plus the
-// reduce-side run merge (MergeGroupBuckets).
+// reduce-side k-way walk over the sorted buckets (KeyRunWalker, through
+// MergeGroupBuckets).
 void BM_GroupByKey(benchmark::State& state) {
   testing::EngineHarness h;
   std::vector<std::pair<int, int>> data;
@@ -296,6 +297,41 @@ void BM_JoinCopartitioned(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_JoinCopartitioned)->Arg(1 << 15)->UseRealTime();
+
+// The TPC-H lineitem -> orders join shape: the left side holds 1 to 7 rows
+// per key (an order's line items), the right side one (the order). Both are
+// generated already key-partitioned into 4 and declared so (KeyPartitioned),
+// so partition j merge-joins the key runs of partition j of each cached
+// side. Items/s counts the rows the join reads.
+void BM_JoinCopartitionedOneToMany(benchmark::State& state) {
+  testing::EngineHarness h;
+  const int keys = static_cast<int>(state.range(0));
+  constexpr int kParts = 4;
+  auto rows_of = [keys](int p, bool many) {
+    std::vector<std::pair<int, int>> rows;
+    for (int k = 0; k < keys; ++k) {
+      if (KeyPartitionOf(k, kParts) != p) {
+        continue;
+      }
+      for (int i = 0; i < (many ? k % 7 + 1 : 1); ++i) {
+        rows.emplace_back(k, k * 8 + i);
+      }
+    }
+    return rows;
+  };
+  auto left = KeyPartitioned(Generate(&h.ctx(), kParts, [=](int p) { return rows_of(p, true); }));
+  auto right =
+      KeyPartitioned(Generate(&h.ctx(), kParts, [=](int p) { return rows_of(p, false); }));
+  left.Cache();
+  right.Cache();
+  const uint64_t rows = left.Count().value_or(0) + right.Count().value_or(0);
+  for (auto _ : state) {
+    auto out = Join(left, right, kParts).Count();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_JoinCopartitionedOneToMany)->Arg(1 << 13)->UseRealTime();
 
 void BM_BlockManagerPutGet(benchmark::State& state) {
   BlockManagerConfig config;

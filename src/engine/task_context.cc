@@ -27,10 +27,39 @@ bool FusableIntermediate(const RddPtr& rdd) {
          rdd->consumer_count() <= 1;
 }
 
+// Compute seconds this thread has reported. A compute window subtracts what
+// the windows nested in it reported (a narrow RDD computing its uncached
+// parent), so each second counts once, in the innermost window.
+thread_local double t_computed_seconds = 0.0;
+
 // Wall seconds since `t0` minus the latency waits (origin and remote cache
-// reads, spill, shuffle fetch) the thread made since `waited0`: compute only.
-double ComputeSeconds(WallTime t0, double waited0) {
-  return WallDuration(WallClock::now() - t0).count() - (ThreadWaitedSeconds() - waited0);
+// reads, spill, shuffle fetch) the thread made since `waited0` and the
+// nested compute reported since `computed0`: this window's compute only.
+double ComputeSeconds(WallTime t0, double waited0, double computed0) {
+  return WallDuration(WallClock::now() - t0).count() - (ThreadWaitedSeconds() - waited0) -
+         (t_computed_seconds - computed0);
+}
+
+void ReportComputed(FlintContext* ctx, const RddPtr& rdd, int partition, double seconds) {
+  t_computed_seconds += seconds;
+  ctx->NotifyPartitionComputed(rdd, partition, seconds);
+}
+
+// UnpersistRdd turns should_cache() off before it erases the RDD's blocks,
+// so a block stored (or moved by a remote read) after the erase finds the
+// flag off here and is erased again: no block outlives an unpersist.
+void EraseIfUnpersisted(FlintContext* ctx, const RddPtr& rdd) {
+  if (!rdd->should_cache()) {
+    ctx->UnpersistRdd(rdd);
+  }
+}
+
+void StoreIfCached(FlintContext* ctx, const RddPtr& rdd, const BlockKey& key, NodeId node,
+                   const PartitionPtr& data) {
+  if (rdd->should_cache()) {
+    ctx->StoreBlock(key, node, data);
+    EraseIfUnpersisted(ctx, rdd);
+  }
 }
 
 }  // namespace
@@ -45,15 +74,20 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
   }
   EngineCounters& counters = ctx_->counters();
 
-  // 1. Cluster cache. A scheduled task's remote read takes the block, so
-  // the next task on this partition finds it here.
+  // 1. Cluster cache, for an RDD that asks to be cached: blocks are stored
+  // only while should_cache() holds, so no other RDD has one to find, and
+  // only these lookups count as hits or misses. A scheduled task's remote
+  // read takes the block, so the next task on this partition finds it here.
   const BlockKey key{rdd->id(), partition};
-  if (PartitionPtr cached = ctx_->LookupBlock(key, node_id(), /*take=*/scheduled());
-      cached != nullptr) {
-    counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return cached;
+  if (rdd->should_cache()) {
+    if (PartitionPtr cached = ctx_->LookupBlock(key, node_id(), /*take=*/scheduled());
+        cached != nullptr) {
+      counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      EraseIfUnpersisted(ctx_, rdd);
+      return cached;
+    }
+    counters.cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  counters.cache_misses.fetch_add(1, std::memory_order_relaxed);
 
   // 2. Saved checkpoint in the DFS. The restore is verified (manifest +
   // per-partition checksum); a missing or corrupt checkpoint demotes the RDD
@@ -63,9 +97,7 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
     auto restored = ctx_->RestoreFromCheckpoint(rdd, partition);
     if (restored.ok()) {
       PartitionPtr data = std::move(restored).value();
-      if (rdd->should_cache()) {
-        ctx_->StoreBlock(key, node_id(), data);
-      }
+      StoreIfCached(ctx_, rdd, key, node_id(), data);
       return data;
     }
   }
@@ -74,20 +106,19 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
   // chain (RunChain), so this one call covers the fused case too.
   const auto t0 = WallClock::now();
   const double waited0 = ThreadWaitedSeconds();
+  const double computed0 = t_computed_seconds;
   Result<PartitionPtr> computed = rdd->Compute(partition, *this);
   if (!computed.ok()) {
     return computed.status();
   }
-  const double seconds = ComputeSeconds(t0, waited0);
+  const double seconds = ComputeSeconds(t0, waited0, computed0);
   if (Cancelled()) {
     return Unavailable("node revoked during compute");
   }
-  ctx_->NotifyPartitionComputed(rdd, partition, seconds);
+  ReportComputed(ctx_, rdd, partition, seconds);
 
   PartitionPtr data = std::move(computed).value();
-  if (rdd->should_cache()) {
-    ctx_->StoreBlock(key, node_id(), data);
-  }
+  StoreIfCached(ctx_, rdd, key, node_id(), data);
   if (rdd->checkpoint_state() == CheckpointState::kMarked &&
       !ctx_->dfs().Exists(rdd->CheckpointPath(partition))) {
     // Partition-level checkpoint write at task completion (paper Sec 4). The
@@ -125,6 +156,7 @@ Result<TaskContext::ChainRun> TaskContext::RunChain(const FusionOps* head, const
   // driven into the bottom of the stack (one Flush sweep).
   const auto t0 = WallClock::now();
   const double waited0 = ThreadWaitedSeconds();
+  const double computed0 = t_computed_seconds;
   const bool rows_kept =
       std::all_of(ops.begin(), ops.end(), [](const FusionOps* op) { return op->keeps_rows; });
   FusionSink* down = &make_terminal(input->NumRecords(), rows_kept);
@@ -135,7 +167,7 @@ Result<TaskContext::ChainRun> TaskContext::RunChain(const FusionOps* head, const
     down = adapters.back().get();
   }
   down->DriveRows(*input);
-  const double seconds = ComputeSeconds(t0, waited0);
+  const double seconds = ComputeSeconds(t0, waited0, computed0);
   if (Cancelled()) {
     return Unavailable("node revoked during compute");
   }
@@ -182,7 +214,7 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
   // The map RDD still "computed" this partition as far as the rest of the
   // engine is concerned (recompute counters, FT-manager checkpoint signals);
   // only the materialization was elided.
-  ctx_->NotifyPartitionComputed(map_rdd, partition, run.seconds);
+  ReportComputed(ctx_, map_rdd, partition, run.seconds);
   counters.shuffle_fused_bucket_chains.fetch_add(1, std::memory_order_relaxed);
   counters.shuffle_rows_bucketed_fused.fetch_add(terminal.rows_in(), std::memory_order_relaxed);
   return terminal.finish();

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -429,115 +430,118 @@ BucketTerminalFactory MakeCombineBucketFactory(Combine combine, EngineCounters* 
   };
 }
 
-// K-way merge + combine over key-sorted buckets. A key may repeat within a
-// bucket as a contiguous run: a key-partitioned input read in place is one
-// such bucket, while CombineBucketSink buckets hold each key once. Values
-// combine in bucket index order, each run in row order, so the per-key fold
-// runs in (map partition, row) order and a non-commutative (but
-// associative) combine is deterministic. Output is key-sorted by
-// construction.
+// The one k-way walk over key-sorted buckets behind every keyed reduce; a
+// key may repeat within a bucket as a contiguous run (PlainBucketSink output,
+// or a key-partitioned input read in place). Next() moves to the smallest key
+// left and marks each bucket's run of it; ForEach visits that key's values in
+// place, in (bucket index, row) = (map partition, original row) order. The
+// walker points into the buckets' rows, which the caller keeps alive, and
+// never default-constructs or copies a K or a V.
+template <typename K, typename V>
+class KeyRunWalker {
+ public:
+  using Row = std::pair<K, V>;
+  using Span = std::pair<const Row*, const Row*>;  // [first, second)
+
+  explicit KeyRunWalker(const std::vector<PartitionPtr>& buckets) {
+    for (const auto& b : buckets) {
+      const auto& rows = Rows<Row>(*b);
+      largest_ = std::max(largest_, rows.size());
+      if (!rows.empty()) {
+        cur_.emplace_back(rows.data(), rows.data() + rows.size());
+      }
+    }
+    runs_.reserve(cur_.size());
+  }
+
+  // Advances to the next key; false once every bucket is exhausted.
+  bool Next() {
+    const K* min = nullptr;
+    for (const Span& c : cur_) {
+      if (c.first != c.second && (min == nullptr || c.first->first < *min)) {
+        min = &c.first->first;
+      }
+    }
+    if (min == nullptr) {
+      return false;
+    }
+    runs_.clear();
+    count_ = 0;
+    key_ = min;
+    for (Span& c : cur_) {
+      const Row* begin = c.first;
+      while (c.first != c.second && c.first->first == *min) {
+        ++c.first;
+      }
+      if (c.first != begin) {
+        runs_.emplace_back(begin, c.first);
+        count_ += static_cast<size_t>(c.first - begin);
+      }
+    }
+    return true;
+  }
+
+  // The current key, its row count over all buckets, and the largest
+  // bucket's rows (the distinct keys when keys are unique per bucket).
+  const K& key() const { return *key_; }
+  size_t count() const { return count_; }
+  size_t largest_bucket() const { return largest_; }
+
+  // Calls fn(const V&) on each of the current key's values, in walk order.
+  template <typename F>
+  void ForEach(F&& fn) const {
+    for (const Span& run : runs_) {
+      for (const Row* row = run.first; row != run.second; ++row) {
+        fn(row->second);
+      }
+    }
+  }
+
+ private:
+  std::vector<Span> cur_;   // each non-empty bucket's unread rows
+  std::vector<Span> runs_;  // the current key's runs, bucket order
+  const K* key_ = nullptr;
+  size_t count_ = 0;
+  size_t largest_ = 0;
+};
+
+// Merge + combine: per key, the first value copied, then each later one
+// folded in with `combine` in walk order, so an associative but
+// non-commutative combine is deterministic. Output is key-sorted.
 template <typename K, typename V, typename Combine>
 std::vector<std::pair<K, V>> MergeCombineBuckets(const std::vector<PartitionPtr>& buckets,
                                                  const Combine& combine) {
-  struct Cursor {
-    const std::vector<std::pair<K, V>>* rows;
-    size_t pos = 0;
-  };
-  std::vector<Cursor> cur;
-  cur.reserve(buckets.size());
-  size_t largest = 0;
-  for (const auto& b : buckets) {
-    const auto& rows = Rows<std::pair<K, V>>(*b);
-    largest = std::max(largest, rows.size());
-    if (!rows.empty()) {
-      cur.push_back(Cursor{&rows});
-    }
-  }
+  KeyRunWalker<K, V> walk(buckets);
   std::vector<std::pair<K, V>> out;
-  // Distinct keys are at least the largest bucket's count when keys are
-  // unique per bucket; start there and let growth cover the rest.
-  out.reserve(largest);
-  while (true) {
-    const K* min_key = nullptr;
-    for (const Cursor& c : cur) {
-      if (c.pos < c.rows->size()) {
-        const K& k = (*c.rows)[c.pos].first;
-        if (min_key == nullptr || k < *min_key) {
-          min_key = &k;
-        }
-      }
-    }
-    if (min_key == nullptr) {
-      return out;
-    }
+  out.reserve(walk.largest_bucket());
+  while (walk.Next()) {
     bool first = true;
-    for (Cursor& c : cur) {
-      while (c.pos < c.rows->size() && (*c.rows)[c.pos].first == *min_key) {
-        if (first) {
-          out.push_back((*c.rows)[c.pos]);
-          first = false;
-        } else {
-          out.back().second = combine(out.back().second, (*c.rows)[c.pos].second);
-        }
-        ++c.pos;
+    walk.ForEach([&](const V& v) {
+      if (first) {
+        out.emplace_back(walk.key(), v);
+        first = false;
+      } else {
+        out.back().second = combine(out.back().second, v);
       }
-    }
+    });
   }
+  return out;
 }
 
-// K-way merge + group over key-sorted buckets (PlainBucketSink output; keys
-// may repeat within a bucket as a contiguous run). Per-key value order is
-// (bucket index, row order within bucket) = (map partition, original row
-// index), matching both the hash fallback and the pre-merge semantics.
+// Merge + group: per key, its values in walk order, sized exactly. Output
+// is key-sorted.
 template <typename K, typename V>
 std::vector<std::pair<K, std::vector<V>>> MergeGroupBuckets(
     const std::vector<PartitionPtr>& buckets) {
-  struct Cursor {
-    const std::vector<std::pair<K, V>>* rows;
-    size_t pos = 0;
-  };
-  std::vector<Cursor> cur;
-  cur.reserve(buckets.size());
-  for (const auto& b : buckets) {
-    const auto& rows = Rows<std::pair<K, V>>(*b);
-    if (!rows.empty()) {
-      cur.push_back(Cursor{&rows});
-    }
-  }
+  KeyRunWalker<K, V> walk(buckets);
   std::vector<std::pair<K, std::vector<V>>> out;
-  while (true) {
-    const K* min_key = nullptr;
-    for (const Cursor& c : cur) {
-      if (c.pos < c.rows->size()) {
-        const K& k = (*c.rows)[c.pos].first;
-        if (min_key == nullptr || k < *min_key) {
-          min_key = &k;
-        }
-      }
-    }
-    if (min_key == nullptr) {
-      return out;
-    }
-    // Two passes over the (cache-hot) runs: size the value vector exactly,
-    // then fill it.
-    size_t count = 0;
-    for (const Cursor& c : cur) {
-      size_t p = c.pos;
-      while (p < c.rows->size() && (*c.rows)[p].first == *min_key) {
-        ++count;
-        ++p;
-      }
-    }
+  while (walk.Next()) {
     std::vector<V> vals;
-    vals.reserve(count);
-    for (Cursor& c : cur) {
-      while (c.pos < c.rows->size() && (*c.rows)[c.pos].first == *min_key) {
-        vals.push_back((*c.rows)[c.pos].second);
-        ++c.pos;
-      }
-    }
-    out.emplace_back(*min_key, std::move(vals));
+    vals.reserve(walk.count());
+    walk.ForEach([&](const V& v) { vals.push_back(v); });
+    out.emplace_back(walk.key(), std::move(vals));
   }
+  return out;
 }
 
 inline std::shared_ptr<ShuffleInfo> MakeShuffle(FlintContext* ctx, const RddPtr& map_side,
@@ -710,9 +714,10 @@ PairRdd<K, std::vector<V>> GroupByKey(const PairRdd<K, V>& parent, int num_reduc
 
 // Inner join by key into `num_reduce` partitions (each side already
 // key-partitioned into `num_reduce` is read in place, see MakeBinaryByKey).
-// The reduce side
-// merge-joins the key-sorted buckets. Output is key-sorted; per key, rows
-// follow (right row order, left row order).
+// The reduce side merge-joins the two sides' key runs in place
+// (rdd_internal::KeyRunWalker), with no per-key regrouping. Output is
+// key-sorted; per key, it is the cross product with right rows outer and
+// left rows inner, each side in (map partition, row) order.
 template <typename K, typename V, typename W>
 PairRdd<K, std::pair<V, W>> Join(const PairRdd<K, V>& left, const PairRdd<K, W>& right,
                                  int num_reduce, std::string name = "join") {
@@ -721,41 +726,35 @@ PairRdd<K, std::pair<V, W>> Join(const PairRdd<K, V>& left, const PairRdd<K, W>&
       ctx, left.raw(), right.raw(), num_reduce, std::move(name),
       [](const std::vector<PartitionPtr>& lbuckets, const std::vector<PartitionPtr>& rbuckets,
          TaskContext&) -> PartitionPtr {
-        std::vector<std::pair<K, std::vector<V>>> lg =
-            rdd_internal::MergeGroupBuckets<K, V>(lbuckets);
-        std::vector<std::pair<K, std::vector<W>>> rg =
-            rdd_internal::MergeGroupBuckets<K, W>(rbuckets);
-        // Two-pointer sweep over the sorted groups: size the output exactly,
-        // then emit.
-        size_t total = 0;
-        for (size_t li = 0, ri = 0; li < lg.size() && ri < rg.size();) {
-          if (lg[li].first < rg[ri].first) {
-            ++li;
-          } else if (rg[ri].first < lg[li].first) {
-            ++ri;
-          } else {
-            total += lg[li].second.size() * rg[ri].second.size();
-            ++li;
-            ++ri;
+        // Calls matched(l, r) at each key both sides hold. Run twice: size
+        // the output exactly, then emit.
+        auto sweep = [&](auto&& matched) {
+          rdd_internal::KeyRunWalker<K, V> l(lbuckets);
+          rdd_internal::KeyRunWalker<K, W> r(rbuckets);
+          for (bool lm = l.Next(), rm = r.Next(); lm && rm;) {
+            if (l.key() < r.key()) {
+              lm = l.Next();
+            } else if (r.key() < l.key()) {
+              rm = r.Next();
+            } else {
+              matched(l, r);
+              lm = l.Next();
+              rm = r.Next();
+            }
           }
-        }
+        };
+        size_t total = 0;
+        sweep([&](const auto& l, const auto& r) { total += l.count() * r.count(); });
         std::vector<std::pair<K, std::pair<V, W>>> rows;
         rows.reserve(total);
-        for (size_t li = 0, ri = 0; li < lg.size() && ri < rg.size();) {
-          if (lg[li].first < rg[ri].first) {
-            ++li;
-          } else if (rg[ri].first < lg[li].first) {
-            ++ri;
-          } else {
-            for (const W& w : rg[ri].second) {
-              for (const V& v : lg[li].second) {
-                rows.emplace_back(lg[li].first, std::make_pair(v, w));
-              }
-            }
-            ++li;
-            ++ri;
-          }
-        }
+        sweep([&](const auto& l, const auto& r) {
+          r.ForEach([&](const W& w) {
+            l.ForEach([&](const V& v) {
+              rows.emplace_back(std::piecewise_construct, std::forward_as_tuple(l.key()),
+                                std::forward_as_tuple(v, w));
+            });
+          });
+        });
         return MakePartition(std::move(rows));
       });
   return PairRdd<K, std::pair<V, W>>(ctx, std::move(out));

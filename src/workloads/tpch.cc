@@ -168,12 +168,14 @@ Result<std::vector<Q1Row>> TpchDatabase::RunQ1(int cutoff_date) const {
 }
 
 Result<std::vector<Q3Row>> TpchDatabase::RunQ3(int segment, int date, int top_n) const {
-  // customer(segment) |><| orders(before date) keyed by custkey
-  auto cust_keyed = customer_
-                        .Filter([segment](const Customer& c) { return c.mkt_segment == segment; },
-                                "q3-cust-filter")
-                        .Map([](const Customer& c) { return std::make_pair(c.cust_key, 1); },
-                             "q3-cust-key");
+  // customer(segment) |><| orders(before date) keyed by custkey. customer
+  // is bucketed by cust_key, so only the orders side is shuffled.
+  auto cust_keyed = KeyPartitioned(
+      customer_
+          .Filter([segment](const Customer& c) { return c.mkt_segment == segment; },
+                  "q3-cust-filter")
+          .Map([](const Customer& c) { return std::make_pair(c.cust_key, 1); }, "q3-cust-key"),
+      "q3-cust-by-key");
   auto orders_keyed =
       orders_
           .Filter([date](const Order& o) { return o.order_date < date; }, "q3-ord-filter")

@@ -10,14 +10,14 @@
 // bucketed by cust_key, orders and lineitem by order_key: partition p holds
 // exactly the keys KeyPartitionOf (typed_rdd.h) routes to p, in key order,
 // and each row is a function of (seed, key) alone. The queries declare the
-// order-key layout (KeyPartitioned, which checks it), so joins and
-// aggregations on order key read the cached tables in place.
+// layout (KeyPartitioned, which checks it), so joins and aggregations on
+// those keys read the cached tables in place.
 //
 // Queries implemented (with the paper's "short" and "medium" classes), and
 // the shuffles each runs:
 //   Q6  — filtered scan + global aggregate (none)                [short]
 //   Q1  — scan + group-by aggregate (one)                        [short/medium]
-//   Q3  — 3-way join + group-by + top-N (three)                  [medium]
+//   Q3  — 3-way join + group-by + top-N (two)                    [medium]
 //   Q10 — returned-item revenue by customer, top-N (one)         [medium]
 //   Q12 — shipping-priority counts by line status, a year (one)  [short/medium]
 //   Q18 — large-quantity orders, group + filter + join (none)    [medium]

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
 
 #include "src/checkpoint/ft_manager.h"
 #include "src/engine/shuffle_manager.h"
@@ -165,6 +166,82 @@ TEST(EngineEdgeTest, CacheHitCountersMoveOnSecondAction) {
   const uint64_t hits_before = h.ctx().counters().cache_hits.load();
   ASSERT_TRUE(rdd.Count().ok());
   EXPECT_GT(h.ctx().counters().cache_hits.load(), hits_before);
+}
+
+// Only RDDs that ask to be cached are looked up in the cache, so the hit
+// ratio reads cache health, not plan shape: a chain of uncached RDDs counts
+// neither hits nor misses, and a cached one counts a miss per partition on
+// its first read and a hit per partition after.
+TEST(EngineEdgeTest, OnlyCachedRddsCountCacheLookups) {
+  EngineHarness h;
+  const EngineCounters& counters = h.ctx().counters();
+  auto source = Generate(&h.ctx(), 4, [](int p) { return std::vector<int>(50, p); });
+  auto doubled = source.Map([](const int& x) { return x * 2; });
+  ASSERT_TRUE(doubled.Map([](const int& x) { return x + 1; }).Count().ok());
+  EXPECT_EQ(counters.cache_hits.load(), 0u);
+  EXPECT_EQ(counters.cache_misses.load(), 0u);
+
+  doubled.Cache();
+  ASSERT_TRUE(doubled.Count().ok());
+  EXPECT_EQ(counters.cache_hits.load(), 0u);
+  EXPECT_EQ(counters.cache_misses.load(), 4u);
+  ASSERT_TRUE(doubled.Map([](const int& x) { return x + 1; }).Count().ok());
+  EXPECT_EQ(counters.cache_hits.load(), 4u);
+  EXPECT_EQ(counters.cache_misses.load(), 4u);
+}
+
+// A task stores its computed block only while the RDD asks to be cached.
+// If Unpersist runs between that check and the block's registration, the
+// store must not outlive it. Here the store evicts an 8 MiB block to spill,
+// and the modelled spill write (400 MiB/s, ~20 ms) runs after the block
+// entered memory and before its location is registered; Unpersist runs in
+// that window, as soon as the spill is counted. Afterwards no node holds
+// the block and the registry lists no location for it, and the RDD cached
+// again reads the same rows.
+TEST(EngineEdgeTest, BlockStoredWhileUnpersistRunsIsErased) {
+  testing::EngineHarnessOptions options;
+  options.num_nodes = 1;
+  options.node_memory = 10 * kMiB;
+  options.block_shards = 1;
+  options.eviction = EvictionMode::kSpill;
+  options.model_latency = true;
+  options.origin_read_bandwidth_bytes_per_s = 1e15;
+  EngineHarness h(options);
+  auto ints = [](int n) {
+    return [n](int) {
+      std::vector<int> rows(static_cast<size_t>(n));
+      std::iota(rows.begin(), rows.end(), 0);
+      return rows;
+    };
+  };
+  auto filler = Generate(&h.ctx(), 1, ints(2 << 20));
+  filler.Cache();
+  ASSERT_TRUE(filler.Materialize().ok());
+  auto rdd = Generate(&h.ctx(), 1, ints(1 << 20));
+  rdd.Cache();
+  std::shared_ptr<NodeState> node = h.ctx().LiveNodeStates().front();
+
+  std::thread unpersister([&] {
+    while (node->blocks->metrics().Value("flint_block_spills") == 0) {
+      std::this_thread::yield();
+    }
+    rdd.Unpersist();
+  });
+  TaskContext tc(&h.ctx(), node, MakeCancelToken());
+  auto part = tc.GetPartition(rdd.raw(), 0);
+  unpersister.join();
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  const std::vector<int> rows = Rows<int>(**part);
+  ASSERT_EQ(rows, ints(1 << 20)(0));
+
+  const BlockKey key{rdd.raw()->id(), 0};
+  EXPECT_FALSE(h.ctx().BlockAvailable(key));
+  EXPECT_FALSE(node->blocks->Contains(key));
+  EXPECT_EQ(node->blocks->Get(key), nullptr);
+  rdd.Cache();
+  auto again = rdd.Collect();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*again, rows);
 }
 
 TEST(EngineEdgeTest, OutOfRangePartitionIsRejected) {

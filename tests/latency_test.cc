@@ -1,6 +1,7 @@
 // Latency-model tests: the one wait (cancellation, the model_latency switch,
 // per-layer accounts), the engine routing its modelled I/O through the
-// context's model, and compute time excluding the waits inside it.
+// context's model, and compute time excluding the waits and the nested
+// computes inside it.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "src/common/latency.h"
 #include "src/core/flint_cluster.h"
 #include "src/engine/typed_rdd.h"
+#include "src/obs/trace.h"
 #include "tests/test_util.h"
 
 namespace flint {
@@ -188,6 +190,53 @@ TEST(LatencyAccountsTest, ComputeSecondsExcludeOriginReadWaits) {
   EXPECT_LT(compute_s, origin_s);
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snap.Value("flint_engine_latency_origin_read_seconds"), origin_s);
+}
+
+// Each compute second counts once. Collecting an uncached Generate -> Map ->
+// Map computes Generate inside the chain's window (the two Maps fuse over
+// it), and Generate reports its own seconds; counting them again in the
+// window around it would put the summed compute above the task spans that
+// contain every window. The generator's busy loop makes that double count
+// tens of milliseconds, far above timer noise.
+TEST(LatencyAccountsTest, NestedComputesCountOnce) {
+  Tracer::Global().Configure(ObsConfig{.tracing = true, .trace_capacity = 1 << 12});
+  testing::EngineHarness h;
+  constexpr int kParts = 2;
+  auto rows = Generate(&h.ctx(), kParts, [](int p) {
+    std::vector<uint64_t> out(1 << 16);
+    uint64_t x = static_cast<uint64_t>(p) + 1;
+    for (uint64_t& v : out) {
+      for (int i = 0; i < 200; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      }
+      v = x;
+    }
+    return out;
+  });
+  auto out = rows.Map([](const uint64_t& v) { return v >> 3; })
+                 .Map([](const uint64_t& v) { return v ^ 5; })
+                 .Collect();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), size_t{kParts} << 16);
+  // A task's span closes after it reports its result.
+  h.ctx().DrainExecutors();
+
+  uint64_t task_ns = 0;
+  int tasks = 0;
+  for (const TraceEvent& event : Tracer::Global().Drain()) {
+    if (std::string(event.name) == "task") {
+      task_ns += event.dur_ns;
+      ++tasks;
+    }
+  }
+  Tracer::Global().Configure(ObsConfig{});
+  const EngineCounters& counters = h.ctx().counters();
+  EXPECT_EQ(tasks, kParts);
+  // Generate and the head Map each computed every partition; the middle Map
+  // streamed through without being built.
+  EXPECT_EQ(counters.partitions_computed.load(), 2u * kParts);
+  EXPECT_GT(counters.compute_nanos.load(), 0);
+  EXPECT_LE(static_cast<uint64_t>(counters.compute_nanos.load()), task_ns);
 }
 
 // A spilling, checkpointing job through FlintCluster: the context's one

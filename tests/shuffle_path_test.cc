@@ -16,7 +16,12 @@
 //     (Rdd::key_partitions) against the shuffled oracle, one-sided joins that
 //     shuffle only the unpartitioned side, narrow ReduceByKey / GroupByKey,
 //     the checked KeyPartitioned declaration, and the table of which
-//     operators set, keep and drop key_partitions.
+//     operators set, keep and drop key_partitions;
+//   - the key-run walk behind every keyed reduce: Join against the
+//     nested-loop oracle with vector values on a mixed plan (one side read
+//     in place with key runs, the other shuffled with duplicates across
+//     buckets), keys on one side only, empty partitions and an empty side,
+//     and a key type with no default constructor.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -786,6 +792,137 @@ TEST(ShufflePathTest, KeyPartitionedRejectsAFalseDeclaration) {
       EXPECT_NE(status.message().find(c.reason), std::string::npos) << status.ToString();
     }
   }
+}
+
+// --- the key-run walk ---
+
+// `rows` laid out already key-partitioned into `n`: partition p holds the
+// rows whose key KeyPartitionOf sends to p, stably sorted by key, so each
+// key is one run in input order. Declared through KeyPartitioned, so keyed
+// operators into `n` read it in place.
+template <typename K, typename V>
+PairRdd<K, V> InPlace(FlintContext* ctx, const std::vector<std::pair<K, V>>& rows, int n) {
+  std::vector<std::vector<std::pair<K, V>>> parts(static_cast<size_t>(n));
+  for (const auto& row : StableSortedByKey(rows)) {
+    parts[static_cast<size_t>(KeyPartitionOf(row.first, n))].push_back(row);
+  }
+  return KeyPartitioned(Generate(ctx, n, [parts](int p) { return parts[static_cast<size_t>(p)]; }),
+                        "in-place");
+}
+
+// Runs Join(left, right, n) over `left_rows` read in place and `right_rows`
+// shuffled from 3 map partitions, and the mirror plan; each must equal the
+// nested-loop oracle, read key-sorted.
+template <typename K, typename V, typename W>
+void ExpectMixedJoinsMatchOracle(const std::vector<std::pair<K, V>>& left_rows,
+                                 const std::vector<std::pair<K, W>>& right_rows, int n) {
+  EngineHarness h;
+  FlintContext* ctx = &h.ctx();
+  auto left = InPlace(ctx, left_rows, n);
+  auto right = Parallelize(ctx, right_rows, 3);
+  auto joined = Join(left, right, n);
+  ASSERT_EQ(joined.raw()->deps().size(), 2u);
+  EXPECT_EQ(joined.raw()->deps()[0].type, DepType::kNarrowOneToOne);
+  EXPECT_EQ(joined.raw()->deps()[1].type, DepType::kShuffle);
+  EXPECT_EQ(StableSortedByKey(CollectOrEmpty(joined)), JoinOracle(left_rows, right_rows));
+  EXPECT_EQ(StableSortedByKey(CollectOrEmpty(Join(right, left, n))),
+            JoinOracle(right_rows, left_rows));
+}
+
+// PageRank's `links` shape: vector values, some empty. The in-place side
+// repeats a key up to three times in one run; the shuffled side holds each
+// key once in each of its 3 map partitions, so a reduce partition merges a
+// key's rows from 3 buckets. Multiples of 5 and keys 30-39 are on the
+// shuffled side only.
+TEST(ShufflePathTest, JoinVectorValuesOnAMixedPlanMatchesOracle) {
+  std::vector<std::pair<int, std::vector<int>>> left, right;
+  for (int r = 0; r < 3; ++r) {
+    for (int k = 0; k < 30; ++k) {
+      if (k % 5 != 0 && r <= k % 3) {
+        left.emplace_back(k, std::vector<int>(static_cast<size_t>(k % 4), k * 10 + r));
+      }
+    }
+  }
+  for (int i = 0; i < 120; ++i) {
+    right.emplace_back((i * 7) % 40, std::vector<int>{i, -i});
+  }
+  for (int n : {4, 3}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ExpectMixedJoinsMatchOracle(left, right, n);
+  }
+}
+
+// Keys on one side only contribute no row, whether the sides overlap in
+// part or not at all, on the in-place plan and on the fully shuffled one.
+TEST(ShufflePathTest, JoinKeysOnOneSideOnlyMatchOracle) {
+  auto rows = [](int first_key, int last_key, int step) {
+    std::vector<std::pair<int, int>> out;
+    for (int r = 0; r < 2; ++r) {
+      for (int k = first_key; k <= last_key; k += step) {
+        out.emplace_back(k, k * 100 + r);
+      }
+    }
+    return out;
+  };
+  const auto evens = rows(0, 38, 2);
+  const auto overlap = rows(20, 59, 1);
+  const auto odds = rows(1, 39, 2);
+  ExpectMixedJoinsMatchOracle(evens, overlap, 4);
+  ExpectMixedJoinsMatchOracle(evens, odds, 4);
+  EngineHarness h;
+  FlintContext* ctx = &h.ctx();
+  EXPECT_TRUE(CollectOrEmpty(Join(InPlace(ctx, evens, 4), InPlace(ctx, odds, 4), 4)).empty());
+  EXPECT_TRUE(CollectOrEmpty(Join(Parallelize(ctx, evens, 2), Parallelize(ctx, odds, 3), 4))
+                  .empty());
+  ASSERT_FALSE(JoinOracle(evens, overlap).empty());
+}
+
+// Eight partitions over three keys leave most reduce partitions empty on
+// both sides; an empty side, in place or shuffled, joins to nothing.
+TEST(ShufflePathTest, JoinEmptyPartitionsAndAnEmptySide) {
+  std::vector<std::pair<int, int>> few;
+  for (int i = 0; i < 12; ++i) {
+    few.emplace_back(i % 3, i);
+  }
+  ExpectMixedJoinsMatchOracle(few, few, 8);
+  const std::vector<std::pair<int, int>> none;
+  ExpectMixedJoinsMatchOracle(none, few, 8);
+  ExpectMixedJoinsMatchOracle(few, none, 4);
+  EngineHarness h;
+  FlintContext* ctx = &h.ctx();
+  EXPECT_TRUE(CollectOrEmpty(Join(InPlace(ctx, none, 4), InPlace(ctx, few, 4), 4)).empty());
+}
+
+// A key with no default constructor: the walker only points at keys and
+// copies each into an output row.
+class Tag {
+ public:
+  explicit Tag(int id) : id_(id) {}
+  bool operator<(const Tag& o) const { return id_ < o.id_; }
+  bool operator==(const Tag& o) const { return id_ == o.id_; }
+  friend size_t HashOf(const Tag& t) { return static_cast<size_t>(t.id_) * 0x9e3779b97f4a7c15ULL; }
+
+ private:
+  int id_;
+};
+static_assert(!std::is_default_constructible_v<Tag>);
+
+TEST(ShufflePathTest, KeyRunWalkNeedsNoDefaultConstructibleKey) {
+  std::vector<std::pair<Tag, int>> left, right;
+  for (int i = 0; i < 60; ++i) {
+    left.emplace_back(Tag(i % 11), i);
+    right.emplace_back(Tag((i * 5) % 17), -i);
+  }
+  ExpectMixedJoinsMatchOracle(left, right, 4);
+  EngineHarness h;
+  FlintContext* ctx = &h.ctx();
+  auto shuffled = Parallelize(ctx, left, 3);
+  EXPECT_EQ(StableSortedByKey(CollectOrEmpty(GroupByKey(shuffled, 4))), GroupOracle(left));
+  EXPECT_EQ(StableSortedByKey(CollectOrEmpty(GroupByKey(InPlace(ctx, left, 4), 4))),
+            GroupOracle(left));
+  auto sum = [](int a, int b) { return a * 3 + b; };
+  EXPECT_EQ(StableSortedByKey(CollectOrEmpty(ReduceByKey(InPlace(ctx, left, 4), 4, sum))),
+            FoldOracle(left, sum));
 }
 
 }  // namespace

@@ -456,12 +456,14 @@ run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleC
 # Fusion*/ShufflePath* under ASan: a chain's sinks hold references into one
 # another and into the terminal for exactly one run. LocalityPlacement*/
 # RecoveryPlacement*: a moved block's PartitionPtr changes BlockManager while
-# readers hold it.
-run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*:Tpch*'
+# readers hold it. PageRankTest*: the keyed reduces walk raw pointers into
+# cached partitions, and PageRank's Join is the one that joins vector values.
+run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*:Tpch*:PageRankTest*'
 # The UBSan build aborts on the first finding (-fno-sanitize-recover).
 # ShufflePath* folds its combiners in unsigned arithmetic, so signed overflow
 # in a test combine shows up here; Latency* covers the one wait's arithmetic;
-# RecoveryPlacement* the round-robin credits; AttemptPath* the attempt path.
-run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*:AttemptPath*:Tpch*'
+# RecoveryPlacement* the round-robin credits; AttemptPath* the attempt path;
+# PageRankTest* the key-run walk over vector values.
+run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*:AttemptPath*:Tpch*:PageRankTest*'
 
 summary
