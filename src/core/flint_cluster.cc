@@ -41,6 +41,8 @@ JobReport FlintCluster::RunMeasured(const std::function<Status(FlintContext&)>& 
   const uint64_t rec0 = c.partitions_recomputed.load();
   const uint64_t ckw0 = c.checkpoint_writes.load();
   const uint64_t ckb0 = c.checkpoint_bytes.load();
+  const uint64_t rcr0 = c.remote_cache_reads.load();
+  const uint64_t rcb0 = c.remote_cache_read_bytes.load();
   const int64_t acq0 = c.acquisition_wait_nanos.load();
   const double cost0 = node_manager_->TotalCost();
   const double od0 = node_manager_->OnDemandEquivalentCost();
@@ -54,6 +56,8 @@ JobReport FlintCluster::RunMeasured(const std::function<Status(FlintContext&)>& 
   report.partitions_recomputed = c.partitions_recomputed.load() - rec0;
   report.checkpoint_writes = c.checkpoint_writes.load() - ckw0;
   report.checkpoint_bytes = c.checkpoint_bytes.load() - ckb0;
+  report.remote_cache_reads = c.remote_cache_reads.load() - rcr0;
+  report.remote_cache_read_bytes = c.remote_cache_read_bytes.load() - rcb0;
   report.acquisition_wait_seconds =
       static_cast<double>(c.acquisition_wait_nanos.load() - acq0) * 1e-9;
   report.cost_dollars = node_manager_->TotalCost() - cost0;

@@ -44,6 +44,9 @@ struct JobReport {
   uint64_t partitions_recomputed = 0;
   uint64_t checkpoint_writes = 0;
   uint64_t checkpoint_bytes = 0;
+  // Cached blocks a task read off another node, and their bytes.
+  uint64_t remote_cache_reads = 0;
+  uint64_t remote_cache_read_bytes = 0;
   double acquisition_wait_seconds = 0.0;
 };
 

@@ -38,6 +38,7 @@ std::vector<BlockEviction> BlockManager::Put(const BlockKey& key, PartitionPtr d
       shard.lru.erase(it->second.lru_it);
       shard.lru.push_front(key);
       it->second.lru_it = shard.lru.begin();
+      DropStaleSpillLocked(shard, key, data);
       it->second.data = std::move(data);
       if (stored != nullptr) {
         *stored = true;
@@ -50,7 +51,8 @@ std::vector<BlockEviction> BlockManager::Put(const BlockKey& key, PartitionPtr d
       }
       return evictions;
     }
-    EvictShardLocked(shard, size, &evictions);
+    spill_bytes = EvictShardLocked(shard, size, &evictions);
+    DropStaleSpillLocked(shard, key, data);
     shard.lru.push_front(key);
     Entry entry;
     entry.data = std::move(data);
@@ -58,21 +60,8 @@ std::vector<BlockEviction> BlockManager::Put(const BlockKey& key, PartitionPtr d
     entry.lru_it = shard.lru.begin();
     shard.memory.emplace(key, std::move(entry));
     shard.memory_used += size;
-    auto sit = shard.spill.find(key);
-    if (sit != shard.spill.end()) {
-      shard.spill_used -= sit->second->SizeBytes();
-      shard.spill.erase(sit);
-    }
     if (stored != nullptr) {
       *stored = true;
-    }
-    for (const auto& ev : evictions) {
-      if (ev.spilled) {
-        auto evit = shard.spill.find(ev.key);
-        if (evit != shard.spill.end()) {
-          spill_bytes += evit->second->SizeBytes();
-        }
-      }
     }
   }
   // Spill writes are charged outside the lock.
@@ -82,8 +71,18 @@ std::vector<BlockEviction> BlockManager::Put(const BlockKey& key, PartitionPtr d
   return evictions;
 }
 
-void BlockManager::EvictShardLocked(Shard& shard, uint64_t needed,
-                                    std::vector<BlockEviction>* evictions) {
+void BlockManager::DropStaleSpillLocked(Shard& shard, const BlockKey& key,
+                                        const PartitionPtr& data) {
+  auto sit = shard.spill.find(key);
+  if (sit != shard.spill.end() && sit->second != data) {
+    shard.spill_used -= sit->second->SizeBytes();
+    shard.spill.erase(sit);
+  }
+}
+
+uint64_t BlockManager::EvictShardLocked(Shard& shard, uint64_t needed,
+                                        std::vector<BlockEviction>* evictions) {
+  uint64_t written = 0;
   while (shard.memory_used + needed > shard_budget_bytes_ && !shard.lru.empty()) {
     const BlockKey victim = shard.lru.back();
     shard.lru.pop_back();
@@ -96,16 +95,18 @@ void BlockManager::EvictShardLocked(Shard& shard, uint64_t needed,
     ev.key = victim;
     if (config_.eviction == EvictionMode::kSpill) {
       ev.spilled = true;
-      shard.spill_used += it->second.size;
-      shard.spill[victim] = std::move(it->second.data);
+      // A disk copy left by a promotion holds these same bytes: keep it.
+      if (shard.spill.try_emplace(victim, std::move(it->second.data)).second) {
+        shard.spill_used += it->second.size;
+        written += it->second.size;
+        spills_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     shard.memory.erase(it);
     evictions->push_back(ev);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (ev.spilled) {
-      spills_.fetch_add(1, std::memory_order_relaxed);
-    }
   }
+  return written;
 }
 
 PartitionPtr BlockManager::Get(const BlockKey& key) {
@@ -130,12 +131,23 @@ PartitionPtr BlockManager::Get(const BlockKey& key) {
     spill_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   // Pay the disk read; then promote back into memory (may evict others).
-  // Put() removes the spill copy with correct accounting when it stores.
+  // The disk copy stays: it holds the same bytes, so evicting the promoted
+  // block again writes nothing.
   if (latency_ != nullptr) {
     latency_->Transfer(Layer::kSpill, from_spill->SizeBytes(), config_.disk_bandwidth_bytes_per_s);
   }
   Put(key, from_spill, nullptr);
   return from_spill;
+}
+
+uint64_t BlockManager::BlockBytes(const BlockKey& key) const {
+  Shard& shard = ShardFor(key);
+  ReaderMutexLock lock(&shard.mutex);
+  if (auto it = shard.memory.find(key); it != shard.memory.end()) {
+    return it->second.size;
+  }
+  auto sit = shard.spill.find(key);
+  return sit == shard.spill.end() ? 0 : sit->second->SizeBytes();
 }
 
 bool BlockManager::Contains(const BlockKey& key) const {
@@ -206,7 +218,7 @@ size_t BlockManager::num_rdd_blocks(int rdd_id) const {
       total += key.rdd_id == rdd_id ? 1 : 0;
     }
     for (const auto& [key, data] : shard->spill) {
-      total += key.rdd_id == rdd_id ? 1 : 0;
+      total += key.rdd_id == rdd_id && !shard->memory.contains(key) ? 1 : 0;
     }
   }
   return total;

@@ -1,6 +1,10 @@
 // Per-node RDD cache, mirroring Spark's block manager: bounded memory budget,
 // LRU eviction, optional spill to node-local disk (lost on revocation, like
-// EC2 instance storage). One BlockManager exists per live node; the
+// EC2 instance storage). A block is written to disk once, as Spark's
+// dropFromMemory does: reading a spilled block promotes it back to memory
+// and keeps its disk copy, so evicting it again writes nothing; a Put that
+// stores different data for the key drops the stale disk copy. One
+// BlockManager exists per live node; the
 // cluster-wide index of which node caches which partition lives in
 // FlintContext's BlockRegistry.
 //
@@ -95,6 +99,8 @@ class BlockManager {
   // disk read and promoting it back to memory). nullptr if absent.
   PartitionPtr Get(const BlockKey& key);
 
+  // The block's size in memory or spill; 0 when it is held in neither.
+  uint64_t BlockBytes(const BlockKey& key) const;
   bool Contains(const BlockKey& key) const;
   void Erase(const BlockKey& key);
   void Clear();
@@ -103,8 +109,9 @@ class BlockManager {
   uint64_t memory_used() const;
   uint64_t spill_used() const;
   size_t num_memory_blocks() const;
+  // Disk copies, including those of blocks promoted back to memory.
   size_t num_spill_blocks() const;
-  // Blocks of one RDD held here, in memory or spill.
+  // Blocks of one RDD held here, in memory or spill, each counted once.
   size_t num_rdd_blocks(int rdd_id) const;
   size_t num_shards() const { return shards_.size(); }
 
@@ -121,6 +128,7 @@ class BlockManager {
   struct Shard {
     mutable Mutex mutex{"BlockManager::shard_mutex_"};
     std::unordered_map<BlockKey, Entry, BlockKeyHash> memory GUARDED_BY(mutex);
+    // Disk copies. A key in both maps holds the same PartitionPtr in each.
     std::unordered_map<BlockKey, PartitionPtr, BlockKeyHash> spill GUARDED_BY(mutex);
     std::list<BlockKey> lru GUARDED_BY(mutex);  // front = most recent
     uint64_t memory_used GUARDED_BY(mutex) = 0;
@@ -131,8 +139,13 @@ class BlockManager {
     return *shards_[BlockKeyHash()(key) % shards_.size()];
   }
 
-  // Evicts from `shard` until `needed` bytes fit its budget.
-  void EvictShardLocked(Shard& shard, uint64_t needed, std::vector<BlockEviction>* evictions)
+  // Evicts from `shard` until `needed` bytes fit its budget. Returns the
+  // bytes written to disk: a victim whose disk copy is still there writes
+  // none.
+  uint64_t EvictShardLocked(Shard& shard, uint64_t needed, std::vector<BlockEviction>* evictions)
+      REQUIRES(shard.mutex);
+  // Erases the disk copy of `key` unless it holds `data` itself.
+  void DropStaleSpillLocked(Shard& shard, const BlockKey& key, const PartitionPtr& data)
       REQUIRES(shard.mutex);
 
   BlockManagerConfig config_;
@@ -146,7 +159,8 @@ class BlockManager {
   std::atomic<uint64_t>& hits_ = metrics_.AddCounter("flint_block_hits");  // served from memory
   std::atomic<uint64_t>& spill_hits_ = metrics_.AddCounter("flint_block_spill_hits");  // from spill
   std::atomic<uint64_t>& misses_ = metrics_.AddCounter("flint_block_misses");  // found nothing
-  // Blocks pushed out of memory (dropped or spilled), and those that spilled.
+  // Blocks pushed out of memory (dropped or spilled), and the disk writes
+  // among them (an eviction that finds its disk copy in place writes none).
   std::atomic<uint64_t>& evictions_ = metrics_.AddCounter("flint_block_evictions");
   std::atomic<uint64_t>& spills_ = metrics_.AddCounter("flint_block_spills");
 };

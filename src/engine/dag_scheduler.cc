@@ -157,44 +157,47 @@ struct TaskAttempt {
   // Runs the attempt on its executor and pushes exactly one outcome: stamps
   // exec start, opens the task span, fires the task probe, runs the fault
   // preamble, the body and the fault stretch, and for a map task registers
-  // the map output.
+  // the map output. The span closes before the push, so by the time the
+  // scheduler consumes the outcome the span is recorded, inside its stage's.
   void Run() const {
     StampExecStart(exec_start);
-    const bool map_task = shuffle_id >= 0;
-    if (map_task) {
-      ctx->FireProbe(EnginePoint::kShuffleMapTaskRun);
-    }
-    TraceSpan task_span(map_task ? "shuffle_map_task" : "task", "task");
-    task_span.AddArg(map_task ? "shuffle" : "rdd", map_task ? shuffle_id : rdd->id());
-    task_span.AddArg(map_task ? "map" : "partition", partition);
-    task_span.AddArg("node", node->info.node_id);
-    task_span.AddArg("attempt", number);
-    TaskContext tc(ctx, node, cancel);
-    TaskRunInfo info;
-    info.node = node->info.node_id;
-    info.rdd_id = map_task ? -1 : rdd->id();
-    info.shuffle_id = shuffle_id;
-    info.partition = partition;
-    info.attempt = number;
-    const TaskFaultDirective directive = ctx->FireTaskProbe(info);
-    const WallTime t0 = WallClock::now();
     TaskOutcome outcome;
     outcome.attempt_id = id;
-    if (RunFaultPreamble(tc, directive, &outcome.status)) {
-      Result<DagScheduler::TaskPayload> payload = body(tc, partition);
-      if (!payload.ok()) {
-        outcome.status = payload.status();
-        outcome.failed_shuffle = tc.failed_shuffle();
-      } else if (!StretchCompute(tc, directive, t0) || tc.Cancelled()) {
-        // A cancelled attempt reports nothing, even when its body finished:
-        // a map task registers no output, and a reaped loser is not judged.
-        outcome.status = Unavailable("task attempt cancelled mid-compute");
-      } else if (map_task) {
-        ctx->shuffles().RegisterMapOutput(shuffle_id, partition, tc.node_id(),
-                                          std::move(payload).value());
-        ctx->FireProbe(EnginePoint::kShuffleMapTaskDone);
-      } else {
-        outcome.payload = std::move(payload).value();
+    {
+      const bool map_task = shuffle_id >= 0;
+      if (map_task) {
+        ctx->FireProbe(EnginePoint::kShuffleMapTaskRun);
+      }
+      TraceSpan task_span(map_task ? "shuffle_map_task" : "task", "task");
+      task_span.AddArg(map_task ? "shuffle" : "rdd", map_task ? shuffle_id : rdd->id());
+      task_span.AddArg(map_task ? "map" : "partition", partition);
+      task_span.AddArg("node", node->info.node_id);
+      task_span.AddArg("attempt", number);
+      TaskContext tc(ctx, node, cancel);
+      TaskRunInfo info;
+      info.node = node->info.node_id;
+      info.rdd_id = map_task ? -1 : rdd->id();
+      info.shuffle_id = shuffle_id;
+      info.partition = partition;
+      info.attempt = number;
+      const TaskFaultDirective directive = ctx->FireTaskProbe(info);
+      const WallTime t0 = WallClock::now();
+      if (RunFaultPreamble(tc, directive, &outcome.status)) {
+        Result<DagScheduler::TaskPayload> payload = body(tc, partition);
+        if (!payload.ok()) {
+          outcome.status = payload.status();
+          outcome.failed_shuffle = tc.failed_shuffle();
+        } else if (!StretchCompute(tc, directive, t0) || tc.Cancelled()) {
+          // A cancelled attempt reports nothing, even when its body finished:
+          // a map task registers no output, and a reaped loser is not judged.
+          outcome.status = Unavailable("task attempt cancelled mid-compute");
+        } else if (map_task) {
+          ctx->shuffles().RegisterMapOutput(shuffle_id, partition, tc.node_id(),
+                                            std::move(payload).value());
+          ctx->FireProbe(EnginePoint::kShuffleMapTaskDone);
+        } else {
+          outcome.payload = std::move(payload).value();
+        }
       }
     }
     outcomes->Push(std::move(outcome));
@@ -227,17 +230,28 @@ std::optional<size_t> LineagePreferredNode(const RddPtr& rdd, int partition,
                                            const std::vector<std::shared_ptr<NodeState>>& nodes) {
   std::deque<std::pair<const Rdd*, int>> queue{{rdd.get(), partition}};
   std::unordered_set<BlockKey, BlockKeyHash> visited{{rdd->id(), partition}};
+  // Cached input bytes per node, and the nodes in the order the walk first
+  // credited them (a tie goes to the earlier).
+  std::vector<uint64_t> held(nodes.size(), 0);
+  std::vector<size_t> found;
   while (!queue.empty()) {
     const auto [cur, index] = queue.front();
     queue.pop_front();
     const BlockKey key{cur->id(), index};
+    bool cached = false;
     for (size_t i = 0; i < nodes.size(); ++i) {
-      if (nodes[i]->blocks->Contains(key)) {
-        return i;
+      const uint64_t bytes = nodes[i]->blocks->BlockBytes(key);
+      if (bytes == 0) {
+        continue;
       }
+      if (held[i] == 0) {
+        found.push_back(i);
+      }
+      held[i] += bytes;
+      cached = true;
     }
-    if (cur->checkpoint_state() == CheckpointState::kSaved) {
-      continue;  // lineage truncated: below here a task restores from the DFS
+    if (cached || cur->checkpoint_state() == CheckpointState::kSaved) {
+      continue;  // the task reads this block, or restores it from the DFS
     }
     for (const Dependency& dep : cur->deps()) {
       const int parent_index = index - dep.partition_offset;
@@ -249,7 +263,13 @@ std::optional<size_t> LineagePreferredNode(const RddPtr& rdd, int partition,
       queue.emplace_back(dep.parent.get(), parent_index);
     }
   }
-  return std::nullopt;
+  std::optional<size_t> best;
+  for (size_t i : found) {
+    if (!best.has_value() || held[i] > held[*best]) {
+      best = i;
+    }
+  }
+  return best;
 }
 
 std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partition,
@@ -270,11 +290,11 @@ std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partiti
   // Smooth round-robin over the id-sorted schedulable set: every node earns
   // one credit per pick, the richest node wins and repays one round. Health
   // does not weight the shares: a node is either schedulable or quarantined.
-  // The node caching the task's nearest narrow ancestor takes the pick
-  // instead while its credit is within one round of the leader's: unbounded
-  // locality would pile a whole stage onto the survivors of a revocation
-  // (replacements come back cold), and the credit bound keeps every node
-  // within about one pick of its even share. Credits live on NodeState
+  // The node holding the most bytes of the task's cached input takes the
+  // pick instead while its credit is within one round of the leader's:
+  // unbounded locality would pile a whole stage onto the survivors of a
+  // revocation (replacements come back cold), and the credit bound keeps
+  // every node within about one pick of its even share. Credits live on NodeState
   // (scheduler thread is the only writer, serialized by job_mutex_), so the
   // shares hold across stages.
   //

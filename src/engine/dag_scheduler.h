@@ -47,13 +47,15 @@ struct NodeState;
 size_t SwrrPick(std::vector<int64_t>& credits, std::optional<size_t> preferred = std::nullopt,
                 const std::vector<bool>& skip = {});
 
-// The locality preference for (rdd, partition) among `nodes`: walks the
+// The locality preference for (rdd, partition) among `nodes`: the node
+// holding the most bytes of the task's cached input. The walk follows the
 // lineage breadth-first through narrow one-to-one deps (applying each dep's
 // partition offset), stopping at shuffle deps and below kSaved RDDs (a DFS
-// read has no locality). Returns the index of the first node whose block
-// manager holds a visited block, memory or spill; at one level deps are
-// checked in order, so a Join prefers its left input. nullopt when no node
-// caches any visited block. Exposed for unit tests.
+// read has no locality). On each path it stops at the nearest cached block,
+// memory or spill, and credits its bytes to every node holding it. A tie
+// goes to the node the walk credited first, and at one level deps are
+// visited in order, so a Join of equal-sized inputs prefers its left input.
+// nullopt when no node caches any visited block. Exposed for unit tests.
 std::optional<size_t> LineagePreferredNode(const RddPtr& rdd, int partition,
                                            const std::vector<std::shared_ptr<NodeState>>& nodes);
 

@@ -4,7 +4,8 @@
 // kTaskRun (carrying its shuffle and map index), then kShuffleMapTaskDone
 // once its output is registered; a result attempt reports its RDD; a retry
 // carries its attempt number; each attempt opens exactly one span with its
-// node and attempt number; and a reaped result-stage loser is not judged.
+// node and attempt number, closed inside its stage's span before the attempt
+// reports; and a reaped result-stage loser is not judged.
 
 #include <gtest/gtest.h>
 
@@ -328,6 +329,50 @@ TEST_F(AttemptPathTraced, EachAttemptEmitsOneSpanWithNodeAndAttempt) {
   EXPECT_TRUE(std::any_of(from_spans.begin(), from_spans.end(),
                           [](const Key& k) { return std::get<3>(k) > 0; }))
       << "no retried attempt in the trace";
+}
+
+// A task span closes before its attempt reports its outcome: drained right
+// after Collect, with no wait for the executors, the trace holds every task
+// span of the job, each inside a span of its own stage.
+TEST_F(AttemptPathTraced, TaskSpansCloseInsideTheirStageBeforeCollectReturns) {
+  EngineHarness h{NoSpeculation()};
+  struct Span {
+    bool map = false;
+    int scope = -1;  // the shuffle a map stage writes, or a result stage's rdd
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+  for (int round = 0; round < 1000; ++round) {
+    Tracer::Global().Clear();
+    const uint64_t tasks_before = h.ctx().counters().tasks_run.load();
+    ASSERT_EQ(RunShuffleJob(&h.ctx()).rows.size(), 13u);
+    const std::vector<TraceEvent> events = Tracer::Global().Drain();
+    const uint64_t tasks = h.ctx().counters().tasks_run.load() - tasks_before;
+
+    std::vector<Span> stages;
+    std::vector<Span> task_spans;
+    for (const TraceEvent& event : events) {
+      const bool map_stage = std::strcmp(event.name, "shuffle_stage") == 0;
+      const bool map_task = std::strcmp(event.name, "shuffle_map_task") == 0;
+      const bool stage = map_stage || std::strcmp(event.name, "result_stage") == 0;
+      if (!stage && !map_task && std::strcmp(event.name, "task") != 0) {
+        continue;
+      }
+      const TraceArg* scope = FindArg(event, map_stage || map_task ? "shuffle" : "rdd");
+      ASSERT_NE(scope, nullptr) << event.name;
+      const Span span{map_stage || map_task, static_cast<int>(scope->value), event.ts_ns,
+                      event.ts_ns + event.dur_ns};
+      (stage ? stages : task_spans).push_back(span);
+    }
+    ASSERT_EQ(task_spans.size(), tasks) << "round " << round;
+    for (const Span& task : task_spans) {
+      EXPECT_TRUE(std::any_of(stages.begin(), stages.end(), [&task](const Span& stage) {
+        return stage.map == task.map && stage.scope == task.scope &&
+               stage.begin <= task.begin && task.end <= stage.end;
+      })) << "round " << round << ": a " << (task.map ? "map" : "result")
+          << " task span ends outside its stage";
+    }
+  }
 }
 
 // Counts the on-time OnTaskJudged verdicts.

@@ -218,8 +218,6 @@ TEST(LatencyAccountsTest, NestedComputesCountOnce) {
                  .Collect();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), size_t{kParts} << 16);
-  // A task's span closes after it reports its result.
-  h.ctx().DrainExecutors();
 
   uint64_t task_ns = 0;
   int tasks = 0;

@@ -1,12 +1,12 @@
 // Task placement + execution-start deadlines: PickNode deals tasks by plain
 // round-robin over the schedulable nodes (health only quarantines, it never
-// weights); it prefers the node caching the task's nearest narrow ancestor,
-// but only within one round of credit, so locality never overrides the even
-// shares; a stage's tasks with no cached ancestor are dealt one per node
-// first, so a failover's restores spread over the cluster instead of
-// queueing on the cold replacement; a scheduled task's remote cache read
-// moves the block to the reader when the reader holds fewer blocks of its
-// RDD and the block fits there without evicting; and attempt
+// weights); it prefers the node holding the most bytes of the task's
+// cached input, but only within one round of credit, so locality never
+// overrides the even shares; a stage's tasks with no cached ancestor are
+// dealt one per node first, so a failover's restores spread over the
+// cluster instead of queueing on the cold replacement; a scheduled task's
+// remote cache read moves the block to the reader when the reader holds
+// fewer blocks of its RDD and the block fits there without evicting; and attempt
 // deadlines/service times run from the executor's own execution-start
 // stamp, so queue wait on a busy node neither inflates the runtime
 // quantiles nor counts against deadlines.
@@ -15,10 +15,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/checkpoint/ft_manager.h"
@@ -320,6 +322,121 @@ TEST(LocalityPlacementTest, UnionRightPartitionsPreferTheirOwnCache) {
     ASSERT_TRUE(owner.has_value());
     EXPECT_EQ(LineagePreferredNode(both.raw(), 3 + k, live), owner) << "right partition " << k;
   }
+}
+
+// Rows of a key-bucketed table over keys [0, keys): partition p holds the
+// keys KeyPartitionOf routes to p, ascending, each `per_key` times.
+std::function<std::vector<std::pair<int, int>>(int)> BucketRows(int parts, int keys,
+                                                                int per_key) {
+  return [parts, keys, per_key](int p) {
+    std::vector<std::pair<int, int>> rows;
+    for (int k = 0; k < keys; ++k) {
+      for (int r = 0; r < per_key && KeyPartitionOf(k, parts) == p; ++r) {
+        rows.emplace_back(k, r);
+      }
+    }
+    return rows;
+  };
+}
+
+// Caches partition p of `table` (rows from `rows`) on node `owner(p)` only.
+void PinBlocks(EngineHarness& h, PairRdd<int, int>& table,
+               const std::function<std::vector<std::pair<int, int>>(int)>& rows,
+               const std::function<size_t(int)>& owner) {
+  table.Cache();
+  for (int p = 0; p < table.num_partitions(); ++p) {
+    ASSERT_TRUE(h.ctx().StoreBlock({table.raw()->id(), p}, h.node_ids()[owner(p)],
+                                   MakePartition(rows(p))));
+  }
+}
+
+// Bytes of `table`'s cached blocks, summed over partitions and nodes.
+uint64_t CachedBytes(EngineHarness& h, const PairRdd<int, int>& table) {
+  uint64_t bytes = 0;
+  for (const auto& node : h.ctx().LiveNodeStates()) {
+    for (int p = 0; p < table.num_partitions(); ++p) {
+      bytes += node->blocks->BlockBytes({table.raw()->id(), p});
+    }
+  }
+  return bytes;
+}
+
+// Q12's shape after a failover over 4 nodes: a large cached table read
+// through a Filter and a Map, and a small one read through a Map, both
+// declared key-partitioned and joined in place. Partition p of the large
+// table sits on node p and of the small one on node p + 1, so the walk meets
+// the small block first, one level nearer the join.
+struct FailedOverJoin {
+  static constexpr int kParts = 4;
+  static constexpr int kKeys = 64;
+  static constexpr int kPerKey = 8;
+  PairRdd<int, int> big;
+  PairRdd<int, int> small;
+  PairRdd<int, std::pair<int, int>> joined;
+
+  explicit FailedOverJoin(EngineHarness& h)
+      : big(Generate(&h.ctx(), kParts, BucketRows(kParts, kKeys, kPerKey), "big")),
+        small(Generate(&h.ctx(), kParts, BucketRows(kParts, kKeys, 1), "small")),
+        joined(Join(KeyPartitioned(big.Filter([](const std::pair<int, int>& r) {
+                                          return r.second % 2 == 0;
+                                        }).Map([](const std::pair<int, int>& r) { return r; })),
+                    KeyPartitioned(small.Map([](const std::pair<int, int>& r) {
+                      return std::make_pair(r.first, -r.first);
+                    })),
+                    kParts)) {}
+
+  void Pin(EngineHarness& h) {
+    PinBlocks(h, big, BucketRows(kParts, kKeys, kPerKey), [](int p) { return p; });
+    PinBlocks(h, small, BucketRows(kParts, kKeys, 1), [](int p) { return (p + 1) % kParts; });
+  }
+};
+
+TEST(LocalityPlacementTest, JoinPrefersItsLargeInputOverANearerSmallOne) {
+  EngineHarness h;
+  FailedOverJoin q(h);
+  q.Pin(h);
+  ASSERT_GT(CachedBytes(h, q.big), 4 * CachedBytes(h, q.small));
+  const auto live = h.ctx().SchedulableNodeStates();
+  for (int p = 0; p < FailedOverJoin::kParts; ++p) {
+    EXPECT_EQ(LineagePreferredNode(q.joined.raw(), p, live), std::optional<size_t>(p))
+        << "partition " << p;
+  }
+}
+
+TEST(LocalityPlacementTest, JoinOfEqualInputsPrefersItsLeftInput) {
+  // Equal bytes on two nodes: the tie goes to the node the walk credited
+  // first, the left input's.
+  EngineHarness h;
+  constexpr int kParts = 4;
+  const auto rows = BucketRows(kParts, 32, 2);
+  auto left = Generate(&h.ctx(), kParts, rows, "left");
+  auto right = Generate(&h.ctx(), kParts, rows, "right");
+  PinBlocks(h, left, rows, [](int p) { return (p + 2) % kParts; });
+  PinBlocks(h, right, rows, [](int p) { return p; });
+  auto joined = Join(KeyPartitioned(left), KeyPartitioned(right), kParts);
+  const auto live = h.ctx().SchedulableNodeStates();
+  for (int p = 0; p < kParts; ++p) {
+    EXPECT_EQ(LineagePreferredNode(joined.raw(), p, live), CachingNode(h, {left.raw()->id(), p}))
+        << "partition " << p;
+  }
+}
+
+TEST(LocalityPlacementTest, FailedOverJoinReadsOnlyItsSmallInputRemotely) {
+  // Every task runs on the node holding its large partition and reads only
+  // the small one off-node: the remote bytes stay within the small table's.
+  EngineHarness h;
+  FailedOverJoin q(h);
+  q.Pin(h);
+  const EngineCounters& counters = h.ctx().counters();
+  const uint64_t bytes_before = counters.remote_cache_read_bytes.load();
+  auto out = q.joined.Collect();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->size(), size_t{FailedOverJoin::kKeys} * FailedOverJoin::kPerKey / 2);
+  for (const auto& [key, values] : *out) {
+    EXPECT_EQ(values.second, -key);
+  }
+  EXPECT_LE(counters.remote_cache_read_bytes.load() - bytes_before, CachedBytes(h, q.small));
+  EXPECT_EQ(counters.tasks_placed_local.load(), size_t{FailedOverJoin::kParts});
 }
 
 // --- recovery placement: dealt homeless tasks and block moves ---

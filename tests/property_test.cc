@@ -9,6 +9,7 @@
 #include <map>
 
 #include "src/checkpoint/checkpoint_policy.h"
+#include "src/common/latency.h"
 #include "src/common/stats.h"
 #include "src/engine/block_manager.h"
 #include "src/engine/typed_rdd.h"
@@ -188,6 +189,74 @@ TEST(BlockManagerShardTest, SpilledBlocksStayReachableAcrossShards) {
   bm.Clear();
   EXPECT_EQ(bm.memory_used() + bm.spill_used(), 0u);
   EXPECT_EQ(bm.num_memory_blocks() + bm.num_spill_blocks(), 0u);
+}
+
+// --- spill once: a promoted block keeps its disk copy ---
+
+// A one-shard, spilling BlockManager with room for one `block_bytes` block,
+// charging spill I/O to `latency`.
+BlockManagerConfig OneBlockSpillConfig(uint64_t block_bytes) {
+  BlockManagerConfig config;
+  config.memory_budget_bytes = block_bytes + block_bytes / 2;
+  config.eviction = EvictionMode::kSpill;
+  config.num_shards = 1;
+  return config;
+}
+
+PartitionPtr Block(int64_t fill) { return MakePartition(std::vector<int64_t>(128, fill)); }
+
+TEST(BlockManagerSpillTest, EvictGetEvictChargesTheSpillWriteOnce) {
+  LatencyModel latency(/*enabled=*/true);
+  const PartitionPtr a = Block(1);
+  BlockManager bm(OneBlockSpillConfig(a->SizeBytes()), &latency);
+  const BlockKey ka{1, 0};
+  const BlockKey kb{1, 1};
+  const BlockKey kc{1, 2};
+  auto spills = [&bm] { return bm.metrics().Value("flint_block_spills"); };
+
+  bm.Put(ka, a, nullptr);
+  bm.Put(kb, Block(2), nullptr);  // evicts a: the one write of its bytes
+  EXPECT_EQ(spills(), 1.0);
+  EXPECT_GT(latency.Seconds(Layer::kSpill), 0.0);
+  ASSERT_EQ(bm.Get(ka), a);  // promotes a, evicts b (b's one write)
+  EXPECT_EQ(spills(), 2.0);
+  EXPECT_EQ(bm.num_rdd_blocks(1), 2u) << "a in memory and on disk counts once";
+
+  const double charged = latency.Seconds(Layer::kSpill);
+  bm.Put(kc, Block(3), nullptr);  // evicts a again: its disk copy is in place
+  EXPECT_EQ(spills(), 2.0);
+  EXPECT_EQ(latency.Seconds(Layer::kSpill), charged);
+  EXPECT_EQ(bm.metrics().Value("flint_block_evictions"), 3.0);
+  EXPECT_EQ(bm.spill_used(), 2 * a->SizeBytes());
+  EXPECT_EQ(bm.num_rdd_blocks(1), 3u);
+  EXPECT_EQ(bm.BlockBytes(ka), a->SizeBytes());
+  EXPECT_EQ(bm.Get(ka), a);
+}
+
+TEST(BlockManagerSpillTest, StoringDifferentDataDropsTheStaleDiskCopy) {
+  const PartitionPtr a = Block(1);
+  BlockManager bm(OneBlockSpillConfig(a->SizeBytes()));
+  const BlockKey ka{1, 0};
+  bm.Put(ka, a, nullptr);
+  bm.Put({1, 1}, Block(2), nullptr);
+  ASSERT_EQ(bm.Get(ka), a);  // a now in memory and on disk
+
+  const PartitionPtr fresh = Block(7);
+  bool stored = false;
+  bm.Put(ka, fresh, &stored);  // the refresh path
+  ASSERT_TRUE(stored);
+  bm.Put({1, 2}, Block(3), nullptr);  // evicts the fresh block: a real write
+  EXPECT_EQ(bm.metrics().Value("flint_block_spills"), 3.0);
+  EXPECT_EQ(bm.Get(ka), fresh);
+
+  // The insert path: the key is only on disk when different data arrives.
+  bm.Put({1, 3}, Block(4), nullptr);  // evicts the fresh block; its copy stays
+  const PartitionPtr newer = Block(9);
+  bm.Put(ka, newer, &stored);
+  ASSERT_TRUE(stored);
+  bm.Put({1, 4}, Block(5), nullptr);
+  EXPECT_EQ(bm.Get(ka), newer);
+  EXPECT_EQ(bm.BlockBytes({1, 9}), 0u);
 }
 
 // --- billing invariants over random synthetic traces ---

@@ -442,28 +442,34 @@ run_obs_slowlink
 # Join/CoGroup) across executor threads; Fusion* runs the narrow chains
 # (TaskContext::RunChain) the same way.
 # SwrrPick*/HealthPlacement*/LocalityPlacement* cover placement: PickNode's
-# lineage walk reads BlockManager shards from the scheduler thread while
-# executors write them. RecoveryPlacement* moves cached blocks between
-# BlockManagers (a remote read takes the block) while executors and
-# checkpoint writers read both, and judges node health from completions
-# while the scheduler places. Latency* cancels the one wait from another
-# thread. AttemptPath* runs every attempt through the one launch routine and
-# attempt runner: executor threads push outcomes the scheduler thread
-# consumes, and each attempt holds its stage's body by value. Tpch* (here
-# and under ASan and UBSan) runs the queries' narrow joins and aggregations
-# over the cached, key-bucketed tables, before and after a revocation.
-run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:RecoveryPlacement*:Latency*:AttemptPath*:Tpch*'
+# lineage walk reads every frontier block's size from BlockManager shards on
+# the scheduler thread while executors store blocks. BlockManagerSpill* keeps
+# a promoted block's disk copy, shared between the shard's two maps.
+# RecoveryPlacement* moves cached blocks between BlockManagers (a remote read
+# takes the block) while executors and checkpoint writers read both, and
+# judges node health from completions while the scheduler places. Latency*
+# cancels the one wait from another thread. AttemptPath* runs every attempt
+# through the one launch routine and attempt runner: executor threads push
+# outcomes the scheduler thread consumes, and each attempt holds its stage's
+# body by value. Tpch* (here and under ASan and UBSan) runs the queries'
+# narrow joins and aggregations over the cached, key-bucketed tables, before
+# and after a revocation.
+run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:ShufflePath*:Fusion*:DfsFault*:Mutex*:Obs*:SwrrPick*:HealthPlacement*:LocalityPlacement*:RecoveryPlacement*:Latency*:AttemptPath*:Tpch*:BlockManagerSpill*'
 # Fusion*/ShufflePath* under ASan: a chain's sinks hold references into one
 # another and into the terminal for exactly one run. LocalityPlacement*/
 # RecoveryPlacement*: a moved block's PartitionPtr changes BlockManager while
-# readers hold it. PageRankTest*: the keyed reduces walk raw pointers into
-# cached partitions, and PageRank's Join is the one that joins vector values.
-run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*:Tpch*:PageRankTest*'
+# readers hold it. BlockManagerSpill*: one PartitionPtr in memory and on disk,
+# dropped from either. AttemptPathTraced*: a task span closes before its
+# attempt's outcome moves to the scheduler thread. PageRankTest*: the keyed
+# reduces walk raw pointers into cached partitions, and PageRank's Join is the
+# one that joins vector values.
+run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*:Tpch*:PageRankTest*:BlockManagerSpill*:AttemptPathTraced*'
 # The UBSan build aborts on the first finding (-fno-sanitize-recover).
 # ShufflePath* folds its combiners in unsigned arithmetic, so signed overflow
 # in a test combine shows up here; Latency* covers the one wait's arithmetic;
-# RecoveryPlacement* the round-robin credits; AttemptPath* the attempt path;
-# PageRankTest* the key-run walk over vector values.
-run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:RecoveryPlacement*:AttemptPath*:Tpch*:PageRankTest*'
+# LocalityPlacement* the lineage walk's byte sums; BlockManagerSpill* the
+# spill accounting; RecoveryPlacement* the round-robin credits; AttemptPath*
+# the attempt path; PageRankTest* the key-run walk over vector values.
+run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:LocalityPlacement*:RecoveryPlacement*:AttemptPath*:Tpch*:PageRankTest*:BlockManagerSpill*'
 
 summary

@@ -415,12 +415,15 @@ int CmdRun(const Args& args) {
     return 1;
   }
   std::printf(
-      "wall %.2fs | tasks %llu (%llu failed) | recomputed %llu | checkpoints %llu (%.1f MiB)\n",
+      "wall %.2fs | tasks %llu (%llu failed) | recomputed %llu | checkpoints %llu (%.1f MiB) | "
+      "remote cache reads %llu (%.1f MiB)\n",
       report.wall_seconds, static_cast<unsigned long long>(report.tasks_run),
       static_cast<unsigned long long>(report.task_failures),
       static_cast<unsigned long long>(report.partitions_recomputed),
       static_cast<unsigned long long>(report.checkpoint_writes),
-      static_cast<double>(report.checkpoint_bytes) / (1024.0 * 1024.0));
+      static_cast<double>(report.checkpoint_bytes) / (1024.0 * 1024.0),
+      static_cast<unsigned long long>(report.remote_cache_reads),
+      static_cast<double>(report.remote_cache_read_bytes) / (1024.0 * 1024.0));
   std::printf("cluster bill: $%.4f spot vs $%.4f on-demand\n", cluster.nodes().TotalCost(),
               cluster.nodes().OnDemandEquivalentCost());
   return 0;
