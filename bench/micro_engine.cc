@@ -195,6 +195,29 @@ void BM_ReduceByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_ReduceByKey)->Arg(1 << 14)->Arg(1 << 16)->UseRealTime();
 
+// PageRank's rank sum in miniature: (int, double) rows over ~57k distinct
+// keys (uniform draws from 64k) into 16 reduce partitions. Each combined
+// bucket holds ~900 distinct keys, above kRadixSortMinRows, so the map-side
+// bucket sort takes the radix path; BM_ReduceByKey's 97 keys never do.
+void BM_ReduceByKeyWideKeys(benchmark::State& state) {
+  testing::EngineHarness h;
+  Rng rng(17);
+  std::vector<std::pair<int, double>> data;
+  data.reserve(static_cast<size_t>(state.range(0)));
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    data.emplace_back(static_cast<int>(rng.UniformInt(1 << 16)), 1.0 / static_cast<double>(i + 1));
+  }
+  auto base = Parallelize(&h.ctx(), data, 8);
+  base.Cache();
+  (void)base.Materialize();
+  for (auto _ : state) {
+    auto out = ReduceByKey(base, 16, [](double a, double b) { return a + b; }).Count();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ReduceByKeyWideKeys)->Arg(1 << 17)->UseRealTime();
+
 // The wide-stage analogue of the narrow chain: a Map between the cached
 // source and the shuffle streams its rows straight into the reduce-side
 // buckets, and the map-side partition is never built.

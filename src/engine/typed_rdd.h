@@ -24,6 +24,7 @@
 #include "src/engine/context.h"
 #include "src/engine/fusion.h"
 #include "src/engine/hashing.h"
+#include "src/engine/key_sort.h"
 #include "src/engine/task_context.h"
 
 namespace flint {
@@ -296,10 +297,18 @@ int KeyPartitionOf(const K& key, int num_partitions) {
 
 namespace rdd_internal {
 
+// A pair row's key: the sort key of both bucket sinks.
+struct PairKey {
+  template <typename K, typename V>
+  const K& operator()(const std::pair<K, V>& row) const {
+    return row.first;
+  }
+};
+
 // Plain hash-partition of pair rows into buckets, no combining. Finish()
-// stable-sorts each bucket by key: per-key row order stays (arrival order),
-// i.e. (map partition, row index), while the sorted-bucket invariant enables
-// the reduce-side merge.
+// sorts each bucket by key with StableSortByKey (key_sort.h): per-key row
+// order stays (arrival order), i.e. (map partition, row index), while the
+// sorted-bucket invariant enables the reduce-side merge.
 template <typename K, typename V>
 class PlainBucketSink final : public TypedSink<std::pair<K, V>> {
  public:
@@ -326,8 +335,7 @@ class PlainBucketSink final : public TypedSink<std::pair<K, V>> {
     std::vector<PartitionPtr> out;
     out.reserve(buckets_.size());
     for (auto& b : buckets_) {
-      std::stable_sort(b.begin(), b.end(),
-                       [](const auto& a, const auto& c) { return a.first < c.first; });
+      StableSortByKey(b, PairKey{});
       out.push_back(MakePartition(std::move(b)));
     }
     return out;
@@ -342,7 +350,8 @@ class PlainBucketSink final : public TypedSink<std::pair<K, V>> {
 
 // Map-side combining bucket sink (Spark's aggregator): per-bucket flat hash
 // maps fold values in arrival order, Finish() sorts each bucket's unique
-// keys. Combine-hit tallies flush into the engine counters once per sink.
+// keys with StableSortByKey (key_sort.h). Combine-hit tallies flush into the
+// engine counters once per sink.
 template <typename K, typename V, typename Combine>
 class CombineBucketSink final : public TypedSink<std::pair<K, V>> {
  public:
@@ -385,9 +394,7 @@ class CombineBucketSink final : public TypedSink<std::pair<K, V>> {
     out.reserve(maps_.size());
     for (auto& m : maps_) {
       std::vector<std::pair<K, V>> rows = m.TakeEntries();
-      // Keys are unique within a bucket, so the plain by-key sort is total.
-      std::sort(rows.begin(), rows.end(),
-                [](const auto& a, const auto& c) { return a.first < c.first; });
+      StableSortByKey(rows, PairKey{});
       out.push_back(MakePartition(std::move(rows)));
     }
     return out;

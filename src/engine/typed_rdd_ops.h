@@ -17,9 +17,9 @@ namespace rdd_internal {
 
 // Range-partitioning bucket sink for SortBy: upper_bound over the quantile
 // splitters routes each row, preserving arrival order within a bucket (the
-// reduce side's stable_sort relies on that order for tie stability). Unlike
-// the hash-bucket sinks, buckets are NOT key-sorted at the map side — the
-// reduce side sorts whole rows once anyway.
+// reduce side's stable sort, StableSortByKey, relies on that order for tie
+// stability). Unlike the hash-bucket sinks, buckets are NOT key-sorted at the
+// map side — the reduce side sorts whole rows once anyway.
 template <typename T, typename KeyFn, typename K>
 class RangeBucketSink final : public TypedSink<T> {
  public:
@@ -119,14 +119,15 @@ TypedRdd<T> Sample(const TypedRdd<T>& parent, double fraction, uint64_t seed,
 //      splitters, so partition j holds keys in (s_{j-1}, s_j] and equal keys
 //      never straddle a boundary.
 //   3. Each reduce partition concatenates its buckets (map-partition order)
-//      and stable_sorts by key.
+//      and sorts them by key with StableSortByKey (key_sort.h): an LSD radix
+//      sort for an integral key on a large partition, else std::stable_sort.
 //
 // The result read in partition order is globally sorted, and — because the
-// bucket concatenation order and stable_sort preserve the (map partition,
-// row index) order of ties — bit-identical across num_output choices. Should
-// the sample job fail (e.g. the cluster is mid-storm), the splitter set
-// degrades to empty: everything lands in partition 0, which is the old
-// single-reducer behaviour, still correct.
+// bucket concatenation order and the stable sort preserve the (map
+// partition, row index) order of ties — bit-identical across num_output
+// choices. Should the sample job fail (e.g. the cluster is mid-storm), the
+// splitter set degrades to empty: everything lands in partition 0, which is
+// the old single-reducer behaviour, still correct.
 template <typename T, typename KeyFn>
 TypedRdd<T> SortBy(const TypedRdd<T>& parent, KeyFn key_fn, int num_output = 0,
                    std::string name = "sortBy") {
@@ -179,8 +180,7 @@ TypedRdd<T> SortBy(const TypedRdd<T>& parent, KeyFn key_fn, int num_output = 0,
           const auto& br = Rows<T>(*b);
           rows.insert(rows.end(), br.begin(), br.end());
         }
-        std::stable_sort(rows.begin(), rows.end(),
-                         [key_fn](const T& a, const T& b) { return key_fn(a) < key_fn(b); });
+        StableSortByKey(rows, key_fn);
         return MakePartition(std::move(rows));
       });
   return TypedRdd<T>(ctx, std::move(out));

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -389,6 +391,34 @@ TEST(FusionTest, ReduceIsDeterministicForNonCommutativeOps) {
                                                         const std::string& b) { return a + b; });
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, expect);
+}
+
+// SortBy over int64_t keys on reduce partitions large enough for the radix
+// path (key_sort.h), negative keys and the int64 extremes included: the
+// result equals std::stable_sort of the input by key, ties in input order.
+TEST(EngineOpsTest, SortByInt64KeysMatchesStableSortOracle) {
+  EngineHarness h{EngineHarnessOptions{.executor_threads = 2}};
+  Rng rng(13);
+  std::vector<std::pair<int64_t, int>> data;
+  for (int i = 0; i < 20000; ++i) {
+    int64_t key = static_cast<int64_t>(rng.UniformInt(1u << 20)) - (1 << 19);
+    if (i % 101 == 0) {
+      key = i % 2 == 0 ? std::numeric_limits<int64_t>::min() : std::numeric_limits<int64_t>::max();
+    } else if (i % 3 == 0) {
+      key = key * 1000003;  // spread into the upper key bytes
+    }
+    data.emplace_back(key, i);
+  }
+  auto key = [](const std::pair<int64_t, int>& p) { return p.first; };
+  std::vector<std::pair<int64_t, int>> oracle = data;
+  std::stable_sort(oracle.begin(), oracle.end(),
+                   [&](const auto& a, const auto& b) { return key(a) < key(b); });
+  auto base = Parallelize(&h.ctx(), data, 4);
+  for (int parts : {1, 3}) {
+    auto out = SortBy(base, key, parts).Collect();
+    ASSERT_TRUE(out.ok()) << "num_output=" << parts;
+    EXPECT_EQ(*out, oracle) << "num_output=" << parts;
+  }
 }
 
 TEST(EngineOpsTest, SortByDeterministicAcrossPartitionCounts) {

@@ -9,6 +9,8 @@
 //     non-commutative combines;
 //   - ReduceByKey / GroupByKey / Join against driver-side oracles (a left
 //     fold, exact per-key value order, a nested-loop join);
+//   - those oracles with every bucket above the radix-sort threshold
+//     (kRadixSortMinRows), negative keys and the int extremes included;
 //   - determinism across num_reduce choices;
 //   - fused bucket chains recomputing bit-identically through a whole-cluster
 //     revocation storm;
@@ -27,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "src/common/flat_hash.h"
+#include "src/engine/key_sort.h"
 #include "src/engine/typed_rdd_ops.h"
 #include "src/inject/fault_injector.h"
 #include "tests/test_util.h"
@@ -335,6 +339,13 @@ std::vector<std::pair<int, std::pair<int, int>>> RunJoin(FlintContext* ctx, bool
   return out.ok() ? *out : std::vector<std::pair<int, std::pair<int, int>>>{};
 }
 
+template <typename T>
+std::vector<T> CollectOrEmpty(const TypedRdd<T>& rdd) {
+  auto out = rdd.Collect();
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? *out : std::vector<T>{};
+}
+
 // Runs `run` with the map side streamed and cached. The two outputs must be
 // bit-identical, and each, sorted by key, must equal `oracle` exactly.
 template <typename Run, typename Row>
@@ -425,6 +436,93 @@ TEST(ShufflePathTest, JoinIdenticalOnAllPaths) {
                                              MapRows(SkewedPairs(900, 19), Negate)));
 }
 
+// --- buckets above the radix threshold ---
+//
+// The grids above fill buckets with at most a few hundred rows, all under
+// kRadixSortMinRows, so their bucket sorts take std::stable_sort. These
+// cases fill every bucket with at least twice the threshold, with negative
+// keys and the int extremes mixed in, so each sink's radix path (and its
+// sign flip) runs under the same oracles.
+
+// Keys scattered over [-keys/2, keys/2) in no order, every 97th row INT_MIN
+// or INT_MAX; the value is the input position.
+std::vector<std::pair<int, int>> WidePairs(int rows, int keys) {
+  std::vector<std::pair<int, int>> data;
+  data.reserve(static_cast<size_t>(rows));
+  for (int i = 0; i < rows; ++i) {
+    int key = static_cast<int>((static_cast<uint64_t>(i) * 2654435761u) % keys) - keys / 2;
+    if (i % 97 == 0) {
+      key = i % 2 == 0 ? std::numeric_limits<int>::min() : std::numeric_limits<int>::max();
+    }
+    data.emplace_back(key, i);
+  }
+  return data;
+}
+
+// The fewest rows any map-side bucket holds when `rows` is Parallelize'd
+// into `map_parts` and bucketed into `num_reduce`; `combined` counts each
+// bucket's distinct keys (what a combining sink sorts).
+size_t MinBucketRows(const std::vector<std::pair<int, int>>& rows, int map_parts, int num_reduce,
+                     bool combined) {
+  size_t fewest = rows.size();
+  for (int m = 0; m < map_parts; ++m) {
+    const size_t begin = rows.size() * static_cast<size_t>(m) / static_cast<size_t>(map_parts);
+    const size_t end = rows.size() * static_cast<size_t>(m + 1) / static_cast<size_t>(map_parts);
+    std::vector<std::map<int, size_t>> buckets(static_cast<size_t>(num_reduce));
+    for (size_t i = begin; i < end; ++i) {
+      ++buckets[static_cast<size_t>(KeyPartitionOf(rows[i].first, num_reduce))][rows[i].first];
+    }
+    for (const auto& b : buckets) {
+      size_t n = 0;
+      for (const auto& [key, count] : b) {
+        n += combined ? 1 : count;
+      }
+      fewest = std::min(fewest, n);
+    }
+  }
+  return fewest;
+}
+
+TEST(ShufflePathTest, WideReduceByKeyMatchesFoldOracle) {
+  const auto rows = WidePairs(40000, 16384);
+  ASSERT_GE(MinBucketRows(rows, 2, 4, /*combined=*/true), 2 * kRadixSortMinRows);
+  ExpectPathsMatchOracle(
+      [&rows](FlintContext* ctx, bool cached) {
+        auto mapped = Parallelize(ctx, rows, 2).Map(ToAffine);
+        MaybeCache(mapped, cached);
+        return CollectOrEmpty(ReduceByKey(mapped, 4, Compose));
+      },
+      FoldOracle(MapRows(rows, ToAffine), Compose));
+}
+
+TEST(ShufflePathTest, WideGroupByKeyMatchesGroupOracle) {
+  const auto rows = WidePairs(24000, 2000);
+  ASSERT_GE(MinBucketRows(rows, 2, 4, /*combined=*/false), 2 * kRadixSortMinRows);
+  ExpectPathsMatchOracle(
+      [&rows](FlintContext* ctx, bool cached) {
+        auto mapped = Parallelize(ctx, rows, 2).Map(XorFive);
+        MaybeCache(mapped, cached);
+        return CollectOrEmpty(GroupByKey(mapped, 4));
+      },
+      GroupOracle(MapRows(rows, XorFive)));
+}
+
+TEST(ShufflePathTest, WideJoinMatchesJoinOracle) {
+  const auto left_rows = WidePairs(8400, 4000);
+  const auto right_rows = WidePairs(4200, 4000);
+  ASSERT_GE(MinBucketRows(left_rows, 2, 2, /*combined=*/false), 2 * kRadixSortMinRows);
+  ASSERT_GE(MinBucketRows(right_rows, 2, 2, /*combined=*/false), 2 * kRadixSortMinRows);
+  ExpectPathsMatchOracle(
+      [&](FlintContext* ctx, bool cached) {
+        auto left = Parallelize(ctx, left_rows, 2).Map(Lift);
+        auto right = Parallelize(ctx, right_rows, 2).Map(Negate);
+        MaybeCache(left, cached);
+        MaybeCache(right, cached);
+        return CollectOrEmpty(Join(left, right, 2));
+      },
+      JoinOracle(MapRows(left_rows, Lift), MapRows(right_rows, Negate)));
+}
+
 // The reduce output read key-sorted must not depend on how many reduce
 // partitions the shuffle used (the per-key fold order is partition-count
 // invariant: map-side row order, then bucket-index order).
@@ -497,13 +595,6 @@ KeyedInputs CopartitionedInputs(FlintContext* ctx, int n, int keys) {
     return vw.first * 1000 + vw.second;
   });
   return {unique, dups};
-}
-
-template <typename T>
-std::vector<T> CollectOrEmpty(const TypedRdd<T>& rdd) {
-  auto out = rdd.Collect();
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  return out.ok() ? *out : std::vector<T>{};
 }
 
 struct BinaryResults {

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/inject/fault_injector.h"
 #include "src/workloads/als.h"
@@ -127,6 +131,42 @@ TEST(PageRankTest, RevokeAllStormRecomputesNarrowJoinBitIdentically) {
   EXPECT_GT(h.ctx().counters().partitions_recomputed.load(), 0u);
   EXPECT_EQ(r->rank_sum, ref->rank_sum);
   EXPECT_EQ(r->top, ref->top);
+}
+
+// A golden run at a size whose shuffle buckets hold thousands of rows (the
+// GroupByKey buckets ~8k edges each, the ReduceByKey buckets thousands of
+// distinct vertices), so every bucket sort takes the radix path of
+// StableSortByKey (key_sort.h). The bits below were captured before the
+// bucket sinks sorted through that routine: a sort that reorders any key's
+// rows changes the fold order and so the ranks' last bits.
+TEST(PageRankTest, GoldenRanksAtRadixSortedBucketSizes) {
+  PageRankParams p;
+  p.num_vertices = 16384;
+  p.edges_per_vertex = 8;
+  p.partitions = 4;
+  p.iterations = 3;
+  p.seed = 7;
+  EngineHarness h;
+  auto r = RunPageRank(h.ctx(), p, 10);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto bits = [](double x) {
+    uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+  };
+  EXPECT_EQ(bits(r->rank_sum), 0x40cf2ef4fdf3b65eULL);
+  const std::vector<std::pair<int, uint64_t>> golden_top = {
+      {344, 0x40101a5395810625ULL},  {395, 0x400ed76e353f7cedULL},
+      {1013, 0x400c023c6a7ef9d9ULL}, {398, 0x400b91d0a3d70a3dULL},
+      {370, 0x400b652e76c8b439ULL},  {697, 0x400a91583126e979ULL},
+      {1426, 0x400a73fe76c8b438ULL}, {842, 0x400a3bf1eb851eb7ULL},
+      {2230, 0x400a130020c49ba4ULL}, {135, 0x4009fa25810624ddULL},
+  };
+  ASSERT_EQ(r->top.size(), golden_top.size());
+  for (size_t i = 0; i < golden_top.size(); ++i) {
+    EXPECT_EQ(r->top[i].first, golden_top[i].first) << "rank " << i;
+    EXPECT_EQ(bits(r->top[i].second), golden_top[i].second) << "rank " << i;
+  }
 }
 
 // --- KMeans ---

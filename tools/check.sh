@@ -462,14 +462,17 @@ run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleC
 # dropped from either. AttemptPathTraced*: a task span closes before its
 # attempt's outcome moves to the scheduler thread. PageRankTest*: the keyed
 # reduces walk raw pointers into cached partitions, and PageRank's Join is the
-# one that joins vector values.
-run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*:Tpch*:PageRankTest*:BlockManagerSpill*:AttemptPathTraced*'
+# one that joins vector values. KeySort*: the radix sort indexes rows through
+# (key, row index) pairs and moves each row out of its bucket once.
+run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*:Fusion*:ShufflePath*:LocalityPlacement*:RecoveryPlacement*:Tpch*:PageRankTest*:BlockManagerSpill*:AttemptPathTraced*:KeySort*'
 # The UBSan build aborts on the first finding (-fno-sanitize-recover).
 # ShufflePath* folds its combiners in unsigned arithmetic, so signed overflow
 # in a test combine shows up here; Latency* covers the one wait's arithmetic;
 # LocalityPlacement* the lineage walk's byte sums; BlockManagerSpill* the
 # spill accounting; RecoveryPlacement* the round-robin credits; AttemptPath*
-# the attempt path; PageRankTest* the key-run walk over vector values.
-run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:LocalityPlacement*:RecoveryPlacement*:AttemptPath*:Tpch*:PageRankTest*:BlockManagerSpill*'
+# the attempt path; PageRankTest* the key-run walk over vector values;
+# KeySort* and EngineOps* (SortBy over signed int64_t keys) the radix sort's
+# sign flip and byte shifts on every integral key width.
+run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*:ShufflePath*:Fusion*:Latency*:LocalityPlacement*:RecoveryPlacement*:AttemptPath*:Tpch*:PageRankTest*:BlockManagerSpill*:KeySort*:EngineOps*'
 
 summary
